@@ -8,8 +8,9 @@
 // pre-rewrite reference —
 //   * Min-min / Max-min / Sufferage: cached-best-machine rewrite vs the
 //     naive textbook loop (schedules asserted IDENTICAL);
-//   * H2LL: top-k selection + kernel scans vs the former per-iteration
-//     full sort (reference preserved inline here);
+//   * H2LL: the operator, which keeps its machine order and per-machine
+//     task lists across the passes of a call, vs the former per-pass full
+//     sort and all-task reservoir scan (reference preserved inline here);
 //   * service kAuto escalation floor (Min-min + Sufferage under a tight
 //     deadline) through a real SchedulerService, naive vs accelerated via
 //     PACGA_NAIVE_HEURISTICS;
@@ -279,7 +280,8 @@ EndToEnd bench_h2ll(const Options& opts) {
   // required to match here, only both to be valid descents —
   // identical_checked stays false and the JSON reports null.
   std::printf(
-      "  %-10s %zux%zu  sorted %8.1f ms  kernels %7.1f ms  %5.2fx (%zu iters)\n",
+      "  %-10s %zux%zu  sorted %8.1f ms  incremental %7.1f ms  %5.2fx "
+      "(%zu iters)\n",
       "h2ll", r.tasks, r.machines, r.reference_ms, r.accelerated_ms, r.speedup,
       opts.h2ll_iterations);
   return r;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <mutex>
 #include <shared_mutex>
+#include <vector>
 
 #include "cga/breeder.hpp"
 #include "cga/crossover.hpp"
@@ -99,6 +100,55 @@ void BM_H2LL(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_H2LL)->Arg(1)->Arg(5)->Arg(10);
+
+/// Offspring as H2LL meets them mid-run: a paper-configured population is
+/// evolved for 20 generations, then one child per cell is bred from it
+/// with the local search off. On these near-balanced children the most
+/// loaded machine changes between passes far more often than on the
+/// random schedules of BM_H2LL.
+const std::vector<sched::Schedule>& mid_run_children() {
+  static const std::vector<sched::Schedule> children = [] {
+    const auto& m = paper_instance();
+    support::Xoshiro256 rng(52);
+    cga::Config config;
+    cga::Population pop(m, cga::Grid(config.width, config.height), rng, true,
+                        config.objective);
+    cga::Breeder breeder(m, config);
+    cga::Individual out(sched::Schedule(m), 0.0);
+    for (std::size_t step = 0; step < 20 * pop.size(); ++step) {
+      const std::size_t cell = step % pop.size();
+      breeder.breed_into(pop, cell, rng, out);
+      if (cga::detail::should_replace(config.replacement, out.fitness,
+                                      pop.at(cell).fitness)) {
+        cga::Breeder::replace(pop.at(cell), out);
+      }
+    }
+    config.local_search.iterations = 0;
+    cga::Breeder no_ls(m, config);
+    std::vector<sched::Schedule> kids;
+    for (std::size_t cell = 0; cell < pop.size(); ++cell) {
+      no_ls.breed_into(pop, cell, rng, out);
+      kids.push_back(out.schedule);
+    }
+    return kids;
+  }();
+  return children;
+}
+
+void BM_H2LLMidRun(benchmark::State& state) {
+  const auto& children = mid_run_children();
+  support::Xoshiro256 rng(53);
+  const cga::H2LLParams params{static_cast<std::size_t>(state.range(0)), 0};
+  auto s = children.front();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    s.assign_from(children[i]);
+    cga::h2ll(s, params, rng);
+    benchmark::DoNotOptimize(s.makespan());
+    i = (i + 1) % children.size();
+  }
+}
+BENCHMARK(BM_H2LLMidRun)->Arg(1)->Arg(5)->Arg(10);
 
 void BM_H2LLSteepest(benchmark::State& state) {
   const auto& m = paper_instance();

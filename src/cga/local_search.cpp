@@ -45,27 +45,31 @@ void apply_local_search(LocalSearchKind kind, sched::Schedule& s,
 
 namespace {
 
+/// Strict total order of machines by (completion, index): ties break
+/// toward the lower index, so every selection below is a deterministic
+/// function of the completion array, which the golden replays depend on.
+bool lighter(const sched::Schedule& s, std::uint32_t a,
+             std::uint32_t b) noexcept {
+  const double ca = s.completion(a);
+  const double cb = s.completion(b);
+  return ca < cb || (ca == cb && a < b);
+}
+
 /// Fills `cand[0..k)` with the k machines of smallest (completion, index),
 /// sorted ascending by machine index. O(machines) selection via
-/// nth_element — this replaced H2LL's former per-iteration full sort of
-/// all machine completions. Ties at the selection boundary break toward
-/// the lower machine index, so the candidate set is a deterministic
-/// function of the completion array (the golden replays depend on that;
-/// std::sort over equal completions was not).
+/// nth_element.
 void least_loaded(const sched::Schedule& s, std::size_t k,
                   std::vector<std::uint32_t>& cand) {
   const std::size_t machines = s.machines();
   cand.resize(machines);
   std::iota(cand.begin(), cand.end(), std::uint32_t{0});
-  const auto lighter = [&](std::uint32_t a, std::uint32_t b) {
-    const double ca = s.completion(a);
-    const double cb = s.completion(b);
-    return ca < cb || (ca == cb && a < b);
+  const auto by_load = [&](std::uint32_t a, std::uint32_t b) {
+    return lighter(s, a, b);
   };
   if (k < machines) {
     std::nth_element(cand.begin(),
                      cand.begin() + static_cast<std::ptrdiff_t>(k), cand.end(),
-                     lighter);
+                     by_load);
   }
   std::sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k));
 }
@@ -83,46 +87,142 @@ std::size_t argmax_machine_skip(std::span<const double> ct, std::size_t skip) {
   return best;
 }
 
+/// H2LL's state across the passes of one call. A pass moves at most one
+/// task, so nothing here is rebuilt between passes. Thread-local storage,
+/// resized per call, keeps steady-state calls allocation-free once a
+/// thread has seen the shape. Completions must be finite (no NaN).
+struct H2llState {
+  static constexpr std::uint32_t kEnd =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Every machine, ascending by (completion, index).
+  std::vector<std::uint32_t> order;
+  /// Per machine: its tasks as an ascending singly-linked list through
+  /// `next`.
+  std::vector<std::uint32_t> head;
+  std::vector<std::uint32_t> next;
+
+  /// The position of a drawn task in its machine's list.
+  struct Drawn {
+    std::uint32_t prev;  ///< predecessor in the list; kEnd at the head
+    std::uint32_t task;  ///< kEnd when the machine holds no task
+  };
+
+  /// O(tasks + machines log machines), once per call.
+  void build(const sched::Schedule& s) {
+    const std::size_t machines = s.machines();
+    order.resize(machines);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return lighter(s, a, b);
+              });
+    head.assign(machines, kEnd);
+    next.resize(s.tasks());
+    // Pushing to the front from the highest task leaves every list ascending.
+    for (std::size_t t = s.tasks(); t-- > 0;) {
+      const std::size_t m = s.machine_of(t);
+      next[t] = head[m];
+      head[m] = static_cast<std::uint32_t>(t);
+    }
+  }
+
+  /// Highest completion, lowest index on ties: kernels::argmax's answer.
+  std::size_t most_loaded(const sched::Schedule& s) const noexcept {
+    std::size_t p = order.size() - 1;
+    const double top = s.completion(order[p]);
+    while (p > 0 && s.completion(order[p - 1]) == top) --p;
+    return order[p];
+  }
+
+  /// random_task_on_machine's reservoir pass, run over machine m's list
+  /// instead of over every task: the same draw rng.index(seen) for the
+  /// seen-th task of m, in the same order, so the same pick. No draws when
+  /// m holds no task.
+  Drawn draw_task(std::size_t m, support::Xoshiro256& rng) const noexcept {
+    Drawn chosen{kEnd, kEnd};
+    std::uint32_t prev = kEnd;
+    std::size_t seen = 0;
+    for (std::uint32_t t = head[m]; t != kEnd; prev = t, t = next[t]) {
+      if (rng.index(++seen) == 0) chosen = {prev, t};
+    }
+    return chosen;
+  }
+
+  void unlink(std::size_t m, std::uint32_t prev, std::uint32_t t) noexcept {
+    (prev == kEnd ? head[m] : next[prev]) = next[t];
+  }
+
+  /// Links task t into machine m's list at its ascending position.
+  void insert_task(std::size_t m, std::uint32_t t) noexcept {
+    std::uint32_t* link = &head[m];
+    while (*link != kEnd && *link < t) link = &next[*link];
+    next[t] = *link;
+    *link = t;
+  }
+
+  /// Moves machine m to its place in `order` after its completion changed.
+  /// O(machines). Exact when every other machine is in place. Also exact
+  /// when m got lighter and the one misplaced machine got heavier: m
+  /// walks left past heavier machines, and if it stops at the grown one,
+  /// everything left of that was no heavier than it before it grew.
+  void resift(const sched::Schedule& s, std::uint32_t m) noexcept {
+    auto p = static_cast<std::size_t>(
+        std::find(order.begin(), order.end(), m) - order.begin());
+    for (; p > 0 && lighter(s, m, order[p - 1]); --p) order[p] = order[p - 1];
+    for (; p + 1 < order.size() && lighter(s, order[p + 1], m); ++p) {
+      order[p] = order[p + 1];
+    }
+    order[p] = m;
+  }
+};
+
 }  // namespace
 
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng) {
   const std::size_t machines = s.machines();
-  if (machines < 2 || s.tasks() == 0) return;
+  if (machines < 2 || s.tasks() == 0 || params.iterations == 0) return;
   const std::size_t n_candidates =
       params.candidates == 0
           ? machines / 2
           : std::min(params.candidates, machines - 1);
 
-  // Candidate machine indices; reused across iterations (thread-local to
-  // stay allocation-free on the hot path).
-  thread_local std::vector<std::uint32_t> cand;
+  thread_local H2llState state;
+  state.build(s);
 
   for (std::size_t it = 0; it < params.iterations; ++it) {
-    const std::size_t most_loaded =
-        kernels::argmax(s.completions().data(), machines);
-    const std::size_t task = random_task_on_machine(
-        s, static_cast<sched::MachineId>(most_loaded), rng);
-    if (task == s.tasks()) continue;  // machine holds only ready-time load
-
-    least_loaded(s, n_candidates, cand);
+    const std::size_t most_loaded = state.most_loaded(s);
+    const auto [prev, task] = state.draw_task(most_loaded, rng);
+    // The most loaded machine holds only its ready time: no pass of this
+    // call can move anything, nor draw.
+    if (task == H2llState::kEnd) return;
 
     // Paper Alg. 4: best_score starts at the makespan; a candidate is
-    // accepted only if it strictly undercuts it. Candidates are visited in
-    // ascending machine index, so score ties keep the lowest machine.
+    // accepted only if it strictly undercuts it. The candidates are the k
+    // machines of smallest (completion, index); score ties keep the lowest
+    // machine index.
     double best_score = s.completion(most_loaded);
     std::size_t best_mac = machines;  // sentinel: no move
     for (std::size_t c = 0; c < n_candidates; ++c) {
-      const std::size_t mac = cand[c];
+      const std::size_t mac = state.order[c];
       if (mac == most_loaded) continue;
       const double new_score = s.completion(mac) + s.etc()(task, mac);
-      if (new_score < best_score) {
+      const bool tie_to_lower = new_score == best_score &&
+                                best_mac != machines && mac < best_mac;
+      if (new_score < best_score || tie_to_lower) {
         best_score = new_score;
         best_mac = mac;
       }
     }
     if (best_mac != machines) {
+      state.unlink(most_loaded, prev, task);
       s.move_task(task, static_cast<sched::MachineId>(best_mac));
+      state.insert_task(best_mac, task);
+      // The source only got lighter and the target only heavier; resifting
+      // them in that order leaves `order` sorted (see H2llState::resift).
+      state.resift(s, static_cast<std::uint32_t>(most_loaded));
+      state.resift(s, static_cast<std::uint32_t>(best_mac));
     }
   }
 }

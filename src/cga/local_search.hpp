@@ -36,7 +36,11 @@ struct H2LLParams {
   std::size_t candidates = 0;
 };
 
-/// Applies H2LL in place. Each pass is O(machines log machines + tasks).
+/// Applies H2LL in place. One call costs O(tasks + machines log machines)
+/// to index the schedule; each pass then costs O(machines) plus one RNG
+/// draw and one list step per task on the most loaded machine (the draws
+/// of random_task_on_machine, so trajectories match a per-pass reservoir
+/// scan draw for draw).
 void h2ll(sched::Schedule& s, const H2LLParams& params,
           support::Xoshiro256& rng);
 

@@ -21,7 +21,8 @@ void mutate(MutationKind kind, sched::Schedule& s, support::Xoshiro256& rng);
 
 /// Picks one task uniformly among those assigned to machine `m` via a
 /// single reservoir-sampling pass. Returns tasks() when `m` is empty.
-/// Shared with H2LL (which draws from the most loaded machine).
+/// H2LL (local_search.cpp) makes the same draws over its own per-machine
+/// task lists; the two must stay in step.
 std::size_t random_task_on_machine(const sched::Schedule& s,
                                    sched::MachineId m,
                                    support::Xoshiro256& rng);

@@ -7,39 +7,15 @@
 //  * Breeder::breed_into reproduces detail::breed exactly;
 //  * a steady-state breeding step (select -> crossover -> mutate -> H2LL
 //    -> evaluate -> replace) performs ZERO heap allocations after warm-up,
-//    counted by overriding the global allocator in this binary.
+//    counted by replacing every global allocation form (alloc_counter.hpp).
 #include "cga/breeder.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "cga/crossover.hpp"
 #include "cga/engine.hpp"
 #include "etc/suite.hpp"
-
-// --- global allocation counter --------------------------------------------
-// Counts every operator-new in the binary. gtest and the harness allocate
-// too, so tests only ever compare deltas around code they fully control.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pacga::cga {
 namespace {
@@ -78,10 +54,10 @@ TEST(AssignFrom, ReusesCapacityWithoutAllocating) {
   const auto a = sched::Schedule::random(m, rng);
   const auto b = sched::Schedule::random(m, rng);
   sched::Schedule dst = a;  // same shape: capacity is already right
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = alloc_counter::count();
   dst.assign_from(b);
   dst.assign_from(a);
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(alloc_counter::count(), before);
 }
 
 TEST(CrossoverInto, MatchesByValueOperators) {
@@ -148,19 +124,32 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
   // THE acceptance property of the refactor: after warm-up, one breeding
   // step (select -> crossover -> mutate -> H2LL -> evaluate -> replace)
   // performs zero heap allocations, in both the unsynchronized and the
-  // locked form.
-  const auto m = instance();
+  // locked form. Two shapes bred in turn on one thread prove that the
+  // per-thread scratch (H2LL's task lists and machine order among it)
+  // keeps its capacity across shapes instead of reallocating per shape.
   Config config = small_config();
   config.local_search.iterations = 10;  // paper configuration
-  support::Xoshiro256 init(8);
-  Grid grid(config.width, config.height);
-  Population pop(m, grid, init, true, config.objective);
+  const auto small = instance();  // 128 x 16
+  etc::GenSpec wide_spec;
+  wide_spec.tasks = 256;
+  wide_spec.machines = 32;
+  wide_spec.consistency = etc::Consistency::kInconsistent;
+  wide_spec.seed = 17;
+  const auto wide = etc::generate(wide_spec);
 
-  Breeder breeder(m, config);
-  Individual out(sched::Schedule(m), 0.0);
+  support::Xoshiro256 init(8);
+  Population small_pop(small, Grid(config.width, config.height), init, true,
+                       config.objective);
+  Population wide_pop(wide, Grid(config.width, config.height), init, true,
+                      config.objective);
+  Breeder small_breeder(small, config);
+  Breeder wide_breeder(wide, config);
+  Individual small_out(sched::Schedule(small), 0.0);
+  Individual wide_out(sched::Schedule(wide), 0.0);
   support::Xoshiro256 rng(9);
 
-  auto steps = [&](bool locked, std::size_t count) {
+  auto steps = [&](Population& pop, Breeder& breeder, Individual& out,
+                   bool locked, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t cell = i % pop.size();
       if (locked) {
@@ -174,13 +163,17 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
       }
     }
   };
+  auto both_forms = [&](std::size_t count) {
+    steps(small_pop, small_breeder, small_out, false, count);
+    steps(wide_pop, wide_breeder, wide_out, false, count);
+    steps(small_pop, small_breeder, small_out, true, count);
+    steps(wide_pop, wide_breeder, wide_out, true, count);
+  };
 
-  steps(false, pop.size());  // warm-up: sizes every scratch buffer
-  steps(true, pop.size());
-  const std::uint64_t before = g_allocations.load();
-  steps(false, 4 * pop.size());
-  steps(true, 4 * pop.size());
-  EXPECT_EQ(g_allocations.load(), before)
+  both_forms(small_pop.size());  // warm-up: sizes every scratch buffer
+  const std::uint64_t before = alloc_counter::count();
+  both_forms(4 * small_pop.size());
+  EXPECT_EQ(alloc_counter::count(), before)
       << "steady-state breeding steps must not touch the heap";
 }
 
@@ -263,9 +256,9 @@ TEST(Breeder, BatchedEvaluationAllocatesNothingAfterWarmup) {
   };
 
   generation();  // warm-up: sizes every scratch buffer incl. the batch
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = alloc_counter::count();
   for (int i = 0; i < 4; ++i) generation();
-  EXPECT_EQ(g_allocations.load(), before)
+  EXPECT_EQ(alloc_counter::count(), before)
       << "staged generation with batched evaluation must not touch the heap";
 }
 
@@ -278,10 +271,10 @@ TEST(Flowtime, AllocationFreeAfterWarmup) {
   support::Xoshiro256 rng(13);
   const auto s = sched::Schedule::random(m, rng);
   const double first = s.flowtime();  // warm-up: sizes the scratch
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = alloc_counter::count();
   bool stable = true;
   for (int i = 0; i < 50; ++i) stable = stable && (s.flowtime() == first);
-  EXPECT_EQ(g_allocations.load(), before)
+  EXPECT_EQ(alloc_counter::count(), before)
       << "steady-state flowtime must not touch the heap";
   EXPECT_TRUE(stable) << "flowtime must be deterministic";
 }
@@ -295,12 +288,12 @@ TEST(BestTracker, ObserveDoesNotAllocateAfterConstruction) {
   Individual candidate =
       Individual::evaluated(sched::Schedule::random(m, rng),
                             sched::Objective::kMakespan);
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = alloc_counter::count();
   for (int i = 0; i < 100; ++i) {
     candidate.fitness = best.fitness() - 1.0;  // always an improvement
     best.observe(candidate);
   }
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(alloc_counter::count(), before);
 }
 
 }  // namespace

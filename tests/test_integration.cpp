@@ -132,16 +132,21 @@ TEST(Integration, TpxTenBeatsOpxFiveOnAggregate) {
   EXPECT_LE(tpx10.mean(), opx5.mean() * 1.02);
 }
 
-TEST(Integration, LongerBudgetNeverHurts) {
+TEST(Integration, SingleThreadLongerBudgetNeverHurts) {
+  // One engine thread makes the run a pure function of its seed, so the
+  // 20-generation run extends the 3-generation run's trajectory and its
+  // elitist best-so-far can only improve on it. (Two async threads race
+  // for cells, so two runs of any budget are independent draws and no
+  // ordering between them holds.)
   const auto m = etc::generate_by_name("u_c_hilo.0");
   cga::Config c;
-  c.threads = 2;
+  c.threads = 1;
   c.seed = 3;
   c.termination = cga::Termination::after_generations(3);
   const double short_run = par::run_parallel(m, c).result.best_fitness;
   c.termination = cga::Termination::after_generations(20);
   const double long_run = par::run_parallel(m, c).result.best_fitness;
-  EXPECT_LE(long_run, short_run + 1e-9);
+  EXPECT_LE(long_run, short_run);
 }
 
 /// Paper-scale smoke (disabled by default: 90 s wall time). Run with

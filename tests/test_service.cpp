@@ -20,12 +20,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "etc/braun.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
@@ -36,29 +36,6 @@
 #include "support/rng.hpp"
 #include "support/threading.hpp"
 #include "support/timer.hpp"
-
-// --- global allocation counter (see test_breeder.cpp) ----------------------
-
-// GCC flags std::free on new[]-ed pointers at inlined call sites, but the
-// replacement operator new below IS malloc-backed — the pairing is correct.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pacga::service {
 namespace {
@@ -1216,10 +1193,10 @@ TEST(WarmSolver, RepeatedSameShapeSolvesAllocateNothing) {
   solver.solve(*m2, spec, 10.0, nullptr, out);  // warm-up second instance
   ASSERT_EQ(out.assignment.size(), m2->tasks());
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = alloc_counter::count();
   spec.seed = 3;
   solver.solve(*m3, spec, 10.0, nullptr, out);
-  EXPECT_EQ(g_allocations.load(), before)
+  EXPECT_EQ(alloc_counter::count(), before)
       << "warm same-shape kCga solve must not touch the heap";
 }
 
@@ -1244,8 +1221,8 @@ TEST(WarmSolver, BreedingPathAllocationFreeWithMinMinSeeding) {
   std::uint64_t at_last_generation = 0;
   const cga::GenerationObserver observer =
       [&](const cga::GenerationEvent& e) {
-        if (e.generation == 1) at_first_generation = g_allocations.load();
-        at_last_generation = g_allocations.load();
+        if (e.generation == 1) at_first_generation = alloc_counter::count();
+        at_last_generation = alloc_counter::count();
       };
   solver.solve(*m, spec, 10.0, nullptr, out, observer);
   EXPECT_EQ(at_last_generation, at_first_generation)
