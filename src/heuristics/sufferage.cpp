@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "heuristics/minmin.hpp"  // detail::naive_requested
 #include "support/kernels.hpp"
 
 namespace pacga::heur {
@@ -59,8 +58,6 @@ sched::Schedule sufferage_naive(const etc::EtcMatrix& etc) {
 
 }  // namespace detail
 
-namespace {
-
 /// Accelerated Sufferage: cached (best, second) per task + invalidation.
 /// (One of three sites sharing the monotone-load exactness invariant —
 /// see the note on min_max_min_fast in minmin.cpp.)
@@ -76,7 +73,7 @@ namespace {
 /// argmax kernel scan over the dense sufferage array (assigned tasks parked
 /// at -infinity; live sufferages are >= 0, so parked tasks never win while
 /// work remains, and ties keep the naive loop's lowest-task-index break).
-sched::Schedule sufferage_fast(const etc::EtcMatrix& etc) {
+sched::Schedule sufferage(const etc::EtcMatrix& etc) {
   const std::size_t tasks = etc.tasks();
   const std::size_t machines = etc.machines();
   std::vector<double> ct(machines);
@@ -120,13 +117,6 @@ sched::Schedule sufferage_fast(const etc::EtcMatrix& etc) {
     }
   }
   return sched::Schedule(etc, std::move(assignment));
-}
-
-}  // namespace
-
-sched::Schedule sufferage(const etc::EtcMatrix& etc) {
-  if (detail::naive_requested()) return detail::sufferage_naive(etc);
-  return sufferage_fast(etc);
 }
 
 }  // namespace pacga::heur

@@ -6,8 +6,7 @@
 // rescans tasks whose cached best or second machine just took load (loads
 // are monotone increasing, so every other cache entry is provably still
 // exact). Schedules are identical to the naive O(tasks^2 * machines) loop
-// (test_heuristics proves it); PACGA_NAIVE_HEURISTICS=1 routes the public
-// entry point to the reference.
+// (test_heuristics proves it).
 #pragma once
 
 #include "sched/schedule.hpp"

@@ -7,9 +7,10 @@
 
 #include "support/rng.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PACGA_KERNELS_X86_AVX2 1
-#include <immintrin.h>
+// The vector tiers are GCC vector extensions under `#pragma GCC target`;
+// other compilers and architectures alias them to the scalar table.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define PACGA_KERNELS_X86_SIMD 1
 #endif
 
 namespace pacga::support::kernels {
@@ -19,15 +20,15 @@ namespace {
 // ---- portable scalar path ------------------------------------------------
 //
 // These loops ARE the semantic definition: in-order scans with strict
-// comparisons (lowest index wins ties). The AVX2 path reproduces them
-// bit-for-bit; test_kernels holds both to that contract.
+// comparisons (lowest index wins ties). The vector tiers reproduce them
+// bit-for-bit; test_kernels holds every tier to that contract.
 
 // max_value/min_value return the extreme VALUE canonicalized by `+ 0.0`:
 // the only doubles that compare equal with different bit patterns are
 // signed zeros (NaN is excluded by contract), and -0.0 + 0.0 == +0.0, so
 // the result is bit-identical across paths no matter WHICH of several
 // compare-equal extremes a reduction happens to select. That freedom is
-// what lets the AVX2 path use raw max_pd/min_pd reductions — the fastest
+// what lets the vector tiers use raw max/min reductions — the fastest
 // shape — instead of index-tracked blends.
 
 double scalar_max_value(const double* d, std::size_t n) {
@@ -96,13 +97,15 @@ inline std::uint64_t hash_lane_step(std::uint64_t h, std::uint64_t bits) {
   return h;
 }
 
-std::uint64_t scalar_hash_block(const double* d, std::size_t n,
-                                std::uint64_t seed) {
-  std::uint64_t lane[4];
-  for (std::size_t l = 0; l < 4; ++l) {
-    lane[l] = seed + (l + 1) * 0x9e3779b97f4a7c15ULL;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
+inline std::uint64_t hash_lane_seed(std::uint64_t seed, std::size_t l) {
+  return seed + (l + 1) * 0x9e3779b97f4a7c15ULL;
+}
+
+// Folds elements [i, n) into their lanes, then combines the lane words.
+inline std::uint64_t hash_finish(std::uint64_t (&lane)[4], const double* d,
+                                 std::size_t i, std::size_t n,
+                                 std::uint64_t seed) {
+  for (; i < n; ++i) {
     std::uint64_t bits;
     __builtin_memcpy(&bits, &d[i], sizeof bits);
     lane[i & 3] = hash_lane_step(lane[i & 3], bits);
@@ -110,6 +113,13 @@ std::uint64_t scalar_hash_block(const double* d, std::size_t n,
   std::uint64_t acc = hash_mix(seed, n);
   for (std::size_t l = 0; l < 4; ++l) acc = hash_mix(acc, lane[l]);
   return acc;
+}
+
+std::uint64_t scalar_hash_block(const double* d, std::size_t n,
+                                std::uint64_t seed) {
+  std::uint64_t lane[4];
+  for (std::size_t l = 0; l < 4; ++l) lane[l] = hash_lane_seed(seed, l);
+  return hash_finish(lane, d, 0, n, seed);
 }
 
 void scalar_batch_max(const double* const* rows, std::size_t count,
@@ -122,525 +132,39 @@ constexpr Dispatch kScalar{
     scalar_min_plus,  scalar_scale_inplace, scalar_hash_block,
     scalar_batch_max, "scalar"};
 
-// ---- AVX2 path -----------------------------------------------------------
-
-#if PACGA_KERNELS_X86_AVX2
-
-// Folds a 4-lane (value, index) state down to the scalar-scan answer:
-// smallest index among the lanes holding the extreme value. Lane l of a
-// block starting at element i holds element i + l, so comparing the stored
-// indices directly reproduces the in-order scan's lowest-index tie-break.
-template <bool kMax>
-std::size_t fold_lanes(const double (&v)[4], const std::uint64_t (&idx)[4]) {
-  std::size_t best = 0;
-  for (std::size_t l = 1; l < 4; ++l) {
-    const bool better = kMax ? v[l] > v[best] : v[l] < v[best];
-    if (better || (v[l] == v[best] && idx[l] < idx[best])) best = l;
-  }
-  return best;
-}
-
-// Raw max_pd/min_pd reductions: which of several compare-equal extremes
-// wins differs from the scalar scan's first-occurrence pick, but the
-// `+ 0.0` canonicalization (see the scalar definitions) erases the only
-// representable difference (signed zeros), so bit-identity holds.
-
-__attribute__((target("avx2"))) double avx2_max_value(const double* d,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 8) {
-    __m256d acc = _mm256_loadu_pd(d);
-    for (i = 4; i + 4 <= n; i += 4) {
-      acc = _mm256_max_pd(acc, _mm256_loadu_pd(d + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 4; ++l) {
-      if (lanes[l] > best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] > best) best = d[i];
-  }
-  return best + 0.0;
-}
-
-__attribute__((target("avx2"))) double avx2_min_value(const double* d,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 8) {
-    __m256d acc = _mm256_loadu_pd(d);
-    for (i = 4; i + 4 <= n; i += 4) {
-      acc = _mm256_min_pd(acc, _mm256_loadu_pd(d + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 4; ++l) {
-      if (lanes[l] < best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] < best) best = d[i];
-  }
-  return best + 0.0;
-}
-
-// Shared shape of the indexed reductions: per 4-wide block, a strict
-// compare against the running per-lane best blends in the new values and
-// their indices; within a lane the strict compare keeps the EARLIEST
-// occurrence, and the cross-lane fold plus the scalar tail restore the
-// global lowest-index tie-break. Four independent accumulator streams
-// (16 elements per round) break the cmp->blend latency chain that would
-// otherwise bound throughput; each lane of each stream still keeps the
-// earliest index of ITS subsequence, so the 16-way fold remains exact.
-template <bool kMax>
-__attribute__((target("avx2"))) std::size_t avx2_argextreme(const double* d,
-                                                            std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  std::size_t arg = 0;
-  if (n >= 32) {
-    __m256d best[4];
-    __m256i best_idx[4];
-    __m256i idx[4];
-    const __m256i step = _mm256_set1_epi64x(16);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm256_loadu_pd(d + 4 * s);
-      best_idx[s] = _mm256_setr_epi64x(4 * s, 4 * s + 1, 4 * s + 2, 4 * s + 3);
-      idx[s] = _mm256_add_epi64(best_idx[s], step);
-    }
-    for (i = 16; i + 16 <= n; i += 16) {
-      for (int s = 0; s < 4; ++s) {
-        const __m256d v = _mm256_loadu_pd(d + i + 4 * s);
-        const __m256d better = kMax ? _mm256_cmp_pd(v, best[s], _CMP_GT_OQ)
-                                    : _mm256_cmp_pd(v, best[s], _CMP_LT_OQ);
-        best[s] = _mm256_blendv_pd(best[s], v, better);
-        best_idx[s] = _mm256_blendv_epi8(best_idx[s], idx[s],
-                                         _mm256_castpd_si256(better));
-        idx[s] = _mm256_add_epi64(idx[s], step);
-      }
-    }
-    alignas(32) double v[16];
-    alignas(32) std::uint64_t vi[16];
-    for (int s = 0; s < 4; ++s) {
-      _mm256_store_pd(v + 4 * s, best[s]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vi + 4 * s), best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 16; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  } else if (n >= 8) {
-    __m256d best = _mm256_loadu_pd(d);
-    __m256i best_idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    __m256i idx = _mm256_setr_epi64x(4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(d + i);
-      const __m256d better = kMax ? _mm256_cmp_pd(v, best, _CMP_GT_OQ)
-                                  : _mm256_cmp_pd(v, best, _CMP_LT_OQ);
-      best = _mm256_blendv_pd(best, v, better);
-      best_idx = _mm256_blendv_epi8(best_idx, idx,
-                                    _mm256_castpd_si256(better));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    alignas(32) double v[4];
-    alignas(32) std::uint64_t vi[4];
-    _mm256_store_pd(v, best);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vi), best_idx);
-    const std::size_t lane = fold_lanes<kMax>(v, vi);
-    arg = static_cast<std::size_t>(vi[lane]);
-  }
-  // Tail indices are all larger than any vector-phase index, so the strict
-  // compare alone preserves the tie-break.
-  for (; i < n; ++i) {
-    const bool better = kMax ? d[i] > d[arg] : d[i] < d[arg];
-    if (better) arg = i;
-  }
-  return arg;
-}
-
-__attribute__((target("avx2"))) std::size_t avx2_argmax(const double* d,
-                                                        std::size_t n) {
-  return avx2_argextreme<true>(d, n);
-}
-
-__attribute__((target("avx2"))) std::size_t avx2_argmin(const double* d,
-                                                        std::size_t n) {
-  return avx2_argextreme<false>(d, n);
-}
-
-__attribute__((target("avx2"))) MinScan avx2_min_plus(const double* a,
-                                                      const double* b,
-                                                      std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  MinScan r{a[0] + b[0], 0};
-  if (n >= 32) {
-    // Same 4-stream unroll as the indexed reductions (see avx2_argextreme).
-    __m256d best[4];
-    __m256i best_idx[4];
-    __m256i idx[4];
-    const __m256i step = _mm256_set1_epi64x(16);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm256_add_pd(_mm256_loadu_pd(a + 4 * s),
-                              _mm256_loadu_pd(b + 4 * s));
-      best_idx[s] = _mm256_setr_epi64x(4 * s, 4 * s + 1, 4 * s + 2, 4 * s + 3);
-      idx[s] = _mm256_add_epi64(best_idx[s], step);
-    }
-    for (i = 16; i + 16 <= n; i += 16) {
-      for (int s = 0; s < 4; ++s) {
-        const __m256d c = _mm256_add_pd(_mm256_loadu_pd(a + i + 4 * s),
-                                        _mm256_loadu_pd(b + i + 4 * s));
-        const __m256d lt = _mm256_cmp_pd(c, best[s], _CMP_LT_OQ);
-        best[s] = _mm256_blendv_pd(best[s], c, lt);
-        best_idx[s] =
-            _mm256_blendv_epi8(best_idx[s], idx[s], _mm256_castpd_si256(lt));
-        idx[s] = _mm256_add_epi64(idx[s], step);
-      }
-    }
-    alignas(32) double v[16];
-    alignas(32) std::uint64_t vi[16];
-    for (int s = 0; s < 4; ++s) {
-      _mm256_store_pd(v + 4 * s, best[s]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(vi + 4 * s), best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 16; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  } else if (n >= 8) {
-    __m256d best = _mm256_add_pd(_mm256_loadu_pd(a), _mm256_loadu_pd(b));
-    __m256i best_idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    __m256i idx = _mm256_setr_epi64x(4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d c =
-          _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-      const __m256d lt = _mm256_cmp_pd(c, best, _CMP_LT_OQ);
-      best = _mm256_blendv_pd(best, c, lt);
-      best_idx =
-          _mm256_blendv_epi8(best_idx, idx, _mm256_castpd_si256(lt));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    alignas(32) double v[4];
-    alignas(32) std::uint64_t vi[4];
-    _mm256_store_pd(v, best);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vi), best_idx);
-    const std::size_t lane = fold_lanes<false>(v, vi);
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  }
-  for (; i < n; ++i) {
-    const double c = a[i] + b[i];
-    if (c < r.value) r = {c, i};
-  }
-  return r;
-}
-
-__attribute__((target("avx2"))) void avx2_scale_inplace(double* d,
-                                                        std::size_t n,
-                                                        double factor) {
-  const __m256d f = _mm256_set1_pd(factor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), f));
-  }
-  for (; i < n; ++i) d[i] *= factor;
-}
-
-__attribute__((target("avx2"))) std::uint64_t avx2_hash_block(
-    const double* d, std::size_t n, std::uint64_t seed) {
-  alignas(32) std::uint64_t lane[4];
-  for (std::size_t l = 0; l < 4; ++l) {
-    lane[l] = seed + (l + 1) * 0x9e3779b97f4a7c15ULL;
-  }
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256i h = _mm256_load_si256(reinterpret_cast<const __m256i*>(lane));
-    for (; i + 4 <= n; i += 4) {
-      const __m256i bits =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-      h = _mm256_xor_si256(h, bits);
-      h = _mm256_xor_si256(h, _mm256_slli_epi64(h, 13));
-      h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 7));
-      h = _mm256_xor_si256(h, _mm256_slli_epi64(h, 17));
-    }
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), h);
-  }
-  for (; i < n; ++i) {
-    std::uint64_t bits;
-    __builtin_memcpy(&bits, &d[i], sizeof bits);
-    lane[i & 3] = hash_lane_step(lane[i & 3], bits);
-  }
-  std::uint64_t acc = hash_mix(seed, n);
-  for (std::size_t l = 0; l < 4; ++l) acc = hash_mix(acc, lane[l]);
-  return acc;
-}
-
-__attribute__((target("avx2"))) void avx2_batch_max(const double* const* rows,
-                                                    std::size_t count,
-                                                    std::size_t n,
-                                                    double* out) {
-  for (std::size_t r = 0; r < count; ++r) out[r] = avx2_max_value(rows[r], n);
-}
-
-constexpr Dispatch kAvx2{avx2_max_value, avx2_min_value,     avx2_argmax,
-                         avx2_argmin,    avx2_min_plus,      avx2_scale_inplace,
-                         avx2_hash_block, avx2_batch_max,    "avx2"};
-
-// ---- AVX-512 path --------------------------------------------------------
+// ---- vector tiers ---------------------------------------------------------
 //
-// Same contract, 8-wide. The structure mirrors the AVX2 tier — raw
-// max_pd/min_pd value reductions under `+ 0.0` canonicalization, strict
-// per-lane compares that keep each lane's EARLIEST extreme, a cross-lane
-// fold by (value, then lowest stored index), and a scalar tail — with two
-// AVX-512 specifics: comparisons produce __mmask8 registers consumed by
-// mask blends (no bit-pattern casts between double and integer vectors),
-// and the 4-stream unroll advances 32 elements per round. Only avx512f is
-// required. hash_block stays on the AVX2 path: its semantics are DEFINED
-// as a 4-lane interleaved mix, so an 8-wide register buys nothing — the
-// table reuses avx2_hash_block verbatim (avx512_supported() therefore also
-// requires AVX2, a subset of every real AVX-512 CPU).
+// One width-generic body (kernels_simd.inc), compiled once per tier under
+// that tier's target. avx512f implies AVX2 in GCC's ISA model, so the
+// AVX-512 copy may also emit AVX2 instructions (its 4-lane hash_block does).
 
-__attribute__((target("avx512f"))) double avx512_max_value(const double* d,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 16) {
-    __m512d acc = _mm512_loadu_pd(d);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_max_pd(acc, _mm512_loadu_pd(d + i));
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (lanes[l] > best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] > best) best = d[i];
-  }
-  return best + 0.0;
-}
+#if PACGA_KERNELS_X86_SIMD
 
-__attribute__((target("avx512f"))) double avx512_min_value(const double* d,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  double best = d[0];
-  if (n >= 16) {
-    __m512d acc = _mm512_loadu_pd(d);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_min_pd(acc, _mm512_loadu_pd(d + i));
-    }
-    alignas(64) double lanes[8];
-    _mm512_store_pd(lanes, acc);
-    best = lanes[0];
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (lanes[l] < best) best = lanes[l];
-    }
-  }
-  for (; i < n; ++i) {
-    if (d[i] < best) best = d[i];
-  }
-  return best + 0.0;
-}
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+constexpr std::size_t kW = 4;
+constexpr const char* kName = "avx2";
+#include "support/kernels_simd.inc"
+}  // namespace avx2
+#pragma GCC pop_options
 
-__attribute__((target("avx512f"))) inline __m512i avx512_iota(long long o) {
-  return _mm512_set_epi64(o + 7, o + 6, o + 5, o + 4, o + 3, o + 2, o + 1, o);
-}
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+namespace avx512 {
+constexpr std::size_t kW = 8;
+constexpr const char* kName = "avx512";
+#include "support/kernels_simd.inc"
+}  // namespace avx512
+#pragma GCC pop_options
 
-template <bool kMax>
-__attribute__((target("avx512f"))) std::size_t avx512_argextreme(
-    const double* d, std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  std::size_t arg = 0;
-  if (n >= 64) {
-    __m512d best[4];
-    __m512i best_idx[4];
-    __m512i idx[4];
-    const __m512i step = _mm512_set1_epi64(32);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm512_loadu_pd(d + 8 * s);
-      best_idx[s] = avx512_iota(8 * s);
-      idx[s] = _mm512_add_epi64(best_idx[s], step);
-    }
-    for (i = 32; i + 32 <= n; i += 32) {
-      for (int s = 0; s < 4; ++s) {
-        const __m512d v = _mm512_loadu_pd(d + i + 8 * s);
-        const __mmask8 better =
-            kMax ? _mm512_cmp_pd_mask(v, best[s], _CMP_GT_OQ)
-                 : _mm512_cmp_pd_mask(v, best[s], _CMP_LT_OQ);
-        best[s] = _mm512_mask_blend_pd(better, best[s], v);
-        best_idx[s] = _mm512_mask_blend_epi64(better, best_idx[s], idx[s]);
-        idx[s] = _mm512_add_epi64(idx[s], step);
-      }
-    }
-    alignas(64) double v[32];
-    alignas(64) std::uint64_t vi[32];
-    for (int s = 0; s < 4; ++s) {
-      _mm512_store_pd(v + 8 * s, best[s]);
-      _mm512_store_si512(vi + 8 * s, best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 32; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  } else if (n >= 16) {
-    __m512d best = _mm512_loadu_pd(d);
-    __m512i best_idx = avx512_iota(0);
-    __m512i idx = avx512_iota(8);
-    const __m512i step = _mm512_set1_epi64(8);
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m512d v = _mm512_loadu_pd(d + i);
-      const __mmask8 better = kMax ? _mm512_cmp_pd_mask(v, best, _CMP_GT_OQ)
-                                   : _mm512_cmp_pd_mask(v, best, _CMP_LT_OQ);
-      best = _mm512_mask_blend_pd(better, best, v);
-      best_idx = _mm512_mask_blend_epi64(better, best_idx, idx);
-      idx = _mm512_add_epi64(idx, step);
-    }
-    alignas(64) double v[8];
-    alignas(64) std::uint64_t vi[8];
-    _mm512_store_pd(v, best);
-    _mm512_store_si512(vi, best_idx);
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 8; ++l) {
-      const bool better = kMax ? v[l] > v[lane] : v[l] < v[lane];
-      if (better || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    arg = static_cast<std::size_t>(vi[lane]);
-  }
-  // Tail indices are all larger than any vector-phase index, so the strict
-  // compare alone preserves the tie-break.
-  for (; i < n; ++i) {
-    const bool better = kMax ? d[i] > d[arg] : d[i] < d[arg];
-    if (better) arg = i;
-  }
-  return arg;
-}
-
-__attribute__((target("avx512f"))) std::size_t avx512_argmax(const double* d,
-                                                             std::size_t n) {
-  return avx512_argextreme<true>(d, n);
-}
-
-__attribute__((target("avx512f"))) std::size_t avx512_argmin(const double* d,
-                                                             std::size_t n) {
-  return avx512_argextreme<false>(d, n);
-}
-
-__attribute__((target("avx512f"))) MinScan avx512_min_plus(const double* a,
-                                                           const double* b,
-                                                           std::size_t n) {
-  assert(n > 0);
-  std::size_t i = 0;
-  MinScan r{a[0] + b[0], 0};
-  if (n >= 64) {
-    __m512d best[4];
-    __m512i best_idx[4];
-    __m512i idx[4];
-    const __m512i step = _mm512_set1_epi64(32);
-    for (int s = 0; s < 4; ++s) {
-      best[s] = _mm512_add_pd(_mm512_loadu_pd(a + 8 * s),
-                              _mm512_loadu_pd(b + 8 * s));
-      best_idx[s] = avx512_iota(8 * s);
-      idx[s] = _mm512_add_epi64(best_idx[s], step);
-    }
-    for (i = 32; i + 32 <= n; i += 32) {
-      for (int s = 0; s < 4; ++s) {
-        const __m512d c = _mm512_add_pd(_mm512_loadu_pd(a + i + 8 * s),
-                                        _mm512_loadu_pd(b + i + 8 * s));
-        const __mmask8 lt = _mm512_cmp_pd_mask(c, best[s], _CMP_LT_OQ);
-        best[s] = _mm512_mask_blend_pd(lt, best[s], c);
-        best_idx[s] = _mm512_mask_blend_epi64(lt, best_idx[s], idx[s]);
-        idx[s] = _mm512_add_epi64(idx[s], step);
-      }
-    }
-    alignas(64) double v[32];
-    alignas(64) std::uint64_t vi[32];
-    for (int s = 0; s < 4; ++s) {
-      _mm512_store_pd(v + 8 * s, best[s]);
-      _mm512_store_si512(vi + 8 * s, best_idx[s]);
-    }
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 32; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  } else if (n >= 16) {
-    __m512d best = _mm512_add_pd(_mm512_loadu_pd(a), _mm512_loadu_pd(b));
-    __m512i best_idx = avx512_iota(0);
-    __m512i idx = avx512_iota(8);
-    const __m512i step = _mm512_set1_epi64(8);
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m512d c =
-          _mm512_add_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-      const __mmask8 lt = _mm512_cmp_pd_mask(c, best, _CMP_LT_OQ);
-      best = _mm512_mask_blend_pd(lt, best, c);
-      best_idx = _mm512_mask_blend_epi64(lt, best_idx, idx);
-      idx = _mm512_add_epi64(idx, step);
-    }
-    alignas(64) double v[8];
-    alignas(64) std::uint64_t vi[8];
-    _mm512_store_pd(v, best);
-    _mm512_store_si512(vi, best_idx);
-    std::size_t lane = 0;
-    for (std::size_t l = 1; l < 8; ++l) {
-      if (v[l] < v[lane] || (v[l] == v[lane] && vi[l] < vi[lane])) lane = l;
-    }
-    r = {v[lane], static_cast<std::size_t>(vi[lane])};
-  }
-  for (; i < n; ++i) {
-    const double c = a[i] + b[i];
-    if (c < r.value) r = {c, i};
-  }
-  return r;
-}
-
-__attribute__((target("avx512f"))) void avx512_scale_inplace(double* d,
-                                                             std::size_t n,
-                                                             double factor) {
-  const __m512d f = _mm512_set1_pd(factor);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(d + i, _mm512_mul_pd(_mm512_loadu_pd(d + i), f));
-  }
-  for (; i < n; ++i) d[i] *= factor;
-}
-
-__attribute__((target("avx512f"))) void avx512_batch_max(
-    const double* const* rows, std::size_t count, std::size_t n,
-    double* out) {
-  for (std::size_t r = 0; r < count; ++r) out[r] = avx512_max_value(rows[r], n);
-}
-
-constexpr Dispatch kAvx512{avx512_max_value, avx512_min_value,
-                           avx512_argmax,    avx512_argmin,
-                           avx512_min_plus,  avx512_scale_inplace,
-                           avx2_hash_block,  avx512_batch_max,
-                           "avx512"};
-
-#endif  // PACGA_KERNELS_X86_AVX2
+#endif  // PACGA_KERNELS_X86_SIMD
 
 const Dispatch* resolve() {
   const char* error = nullptr;
   const Dispatch* d = detail::resolve_tables(
-      std::getenv("PACGA_FORCE_KERNELS"), std::getenv("PACGA_FORCE_SCALAR"),
-      detail::avx2_supported(), detail::avx512_supported(), &error);
+      std::getenv("PACGA_FORCE_KERNELS"), detail::avx2_supported(),
+      detail::avx512_supported(), &error);
   if (d == nullptr) {
     // A forced tier the host cannot honor must not degrade silently: the
     // caller asked for a specific code path (bit-identity audit, CI matrix
@@ -664,7 +188,7 @@ const char* active_dispatch() noexcept { return active().name; }
 namespace detail {
 
 bool avx2_supported() noexcept {
-#if PACGA_KERNELS_X86_AVX2
+#if PACGA_KERNELS_X86_SIMD
   return __builtin_cpu_supports("avx2");
 #else
   return false;
@@ -672,10 +196,10 @@ bool avx2_supported() noexcept {
 }
 
 bool avx512_supported() noexcept {
-#if PACGA_KERNELS_X86_AVX2
-  // avx2 is required too: the 512-bit table's hash_block reuses the AVX2
-  // path (every shipping AVX-512 CPU satisfies this; the check is belt and
-  // suspenders against hypothetical feature-masked environments).
+#if PACGA_KERNELS_X86_SIMD
+  // avx2 is required too: target("avx512f") implies AVX2, so the AVX-512
+  // copy may contain AVX2 instructions (every shipping AVX-512 CPU has
+  // them; the check guards against feature-masked environments).
   return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
 #else
   return false;
@@ -685,23 +209,22 @@ bool avx512_supported() noexcept {
 const Dispatch& scalar_table() noexcept { return kScalar; }
 
 const Dispatch& avx2_table() noexcept {
-#if PACGA_KERNELS_X86_AVX2
-  return kAvx2;
+#if PACGA_KERNELS_X86_SIMD
+  return avx2::kTable;
 #else
   return kScalar;
 #endif
 }
 
 const Dispatch& avx512_table() noexcept {
-#if PACGA_KERNELS_X86_AVX2
-  return kAvx512;
+#if PACGA_KERNELS_X86_SIMD
+  return avx512::kTable;
 #else
   return kScalar;
 #endif
 }
 
-const Dispatch* resolve_tables(const char* force_kernels,
-                               const char* force_scalar, bool have_avx2,
+const Dispatch* resolve_tables(const char* force_kernels, bool have_avx2,
                                bool have_avx512,
                                const char** error) noexcept {
   *error = nullptr;
@@ -724,9 +247,6 @@ const Dispatch* resolve_tables(const char* force_kernels,
              "avx512)";
     return nullptr;
   }
-  const bool alias_scalar = force_scalar != nullptr && *force_scalar != '\0' &&
-                            !(force_scalar[0] == '0' && force_scalar[1] == '\0');
-  if (alias_scalar) return &scalar_table();
   if (have_avx512) return &avx512_table();
   if (have_avx2) return &avx2_table();
   return &scalar_table();

@@ -8,8 +8,8 @@
 // header. Three tiers — AVX-512 (8-wide doubles), AVX2 (4-wide), and a
 // portable scalar path — are resolved ONCE at startup from CPU features;
 // `PACGA_FORCE_KERNELS=scalar|avx2|avx512` pins a specific tier for testing
-// (refusing tiers the CPU cannot run), and `PACGA_FORCE_SCALAR=1` survives
-// as an alias for `PACGA_FORCE_KERNELS=scalar`.
+// (refusing tiers the CPU cannot run). Both vector tiers are one
+// width-generic body compiled twice, once per target.
 //
 // Semantics are PINNED and dispatch-independent:
 //   * argmax/argmin and the fused min scans break ties toward the LOWEST
@@ -66,7 +66,7 @@ struct Dispatch {
 };
 
 /// The active table: resolved once (first use) from CPU features and the
-/// PACGA_FORCE_KERNELS / PACGA_FORCE_SCALAR environment variables. A forced
+/// PACGA_FORCE_KERNELS environment variable. A forced
 /// tier the CPU cannot run (or an unrecognized value) aborts loudly rather
 /// than silently running something else.
 const Dispatch& active() noexcept;
@@ -141,29 +141,30 @@ namespace detail {
 bool avx2_supported() noexcept;
 
 /// True when this CPU can run the AVX-512 table (requires avx512f; AVX2
-/// support is also required because the 4-lane hash stays on that path).
+/// support is also required because GCC's avx512f target implies AVX2, so
+/// the table's code may contain AVX2 instructions).
 bool avx512_supported() noexcept;
 
 /// The portable reference path — always valid.
 const Dispatch& scalar_table() noexcept;
 
-/// The AVX2 path; only callable when avx2_supported(). On non-x86 builds
-/// this aliases the scalar table.
+/// The AVX2 path; only callable when avx2_supported(). On builds without
+/// the vector tiers (non-x86, or a compiler other than GCC) this aliases
+/// the scalar table.
 const Dispatch& avx2_table() noexcept;
 
-/// The AVX-512 path; only callable when avx512_supported(). On non-x86
-/// builds this aliases the scalar table.
+/// The AVX-512 path; only callable when avx512_supported(). Aliases the
+/// scalar table where avx2_table() does.
 const Dispatch& avx512_table() noexcept;
 
 /// The pure resolution rule behind active(), exposed so tests can pin the
 /// precedence order without forking per environment combination:
-/// PACGA_FORCE_KERNELS (scalar|avx2|avx512) wins when set; otherwise a
-/// truthy PACGA_FORCE_SCALAR pins scalar; otherwise the best supported
-/// tier (avx512 > avx2 > scalar). Returns nullptr with `*error` set to a
-/// static message when a forced tier is unsupported or the value is
-/// unrecognized — active() turns that into an abort.
-const Dispatch* resolve_tables(const char* force_kernels,
-                               const char* force_scalar, bool have_avx2,
+/// PACGA_FORCE_KERNELS (scalar|avx2|avx512) wins when set and non-empty;
+/// otherwise the best supported tier (avx512 > avx2 > scalar). Returns
+/// nullptr with `*error` set to a static message when a forced tier is
+/// unsupported or the value is unrecognized — active() turns that into an
+/// abort.
+const Dispatch* resolve_tables(const char* force_kernels, bool have_avx2,
                                bool have_avx512, const char** error) noexcept;
 
 }  // namespace detail

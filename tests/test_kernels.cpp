@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -123,8 +124,10 @@ TEST(Kernels, RandomizedEquivalenceAcrossSizes) {
 TEST(Kernels, ExactTiesBreakToLowestIndexEverywhere) {
   // Duplicate the extreme value at every pair of positions; the winner
   // must always be the earlier one, under every path. Sizes cross the
-  // 8-lane width and the AVX-512 single-stream threshold too.
-  for (const std::size_t n : {5ul, 8ul, 9ul, 13ul, 16ul, 17ul, 33ul}) {
+  // 8-lane width, the AVX-512 single-stream threshold (16) and both tiers'
+  // four-stream thresholds (32 and 64), so ties land in different streams.
+  for (const std::size_t n :
+       {5ul, 8ul, 9ul, 13ul, 16ul, 17ul, 33ul, 63ul, 64ul, 65ul, 97ul, 129ul}) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         std::vector<double> d(n, 1.0);
@@ -260,7 +263,10 @@ TEST(Kernels, ExhaustiveSizesOneToFiveHundredThirteen) {
   // Every size from 1 to 513: covers each possible tail length and stream
   // phase of every tier (4/8-lane single-stream, 16/32-element rounds).
   // One random vector per size keeps the sweep cheap; the adversarial
-  // content cases live in the dedicated suites above.
+  // content cases live in the dedicated suites above. hash_block,
+  // scale_inplace and batch_max are held to the scalar tier bit-for-bit at
+  // every size too.
+  const Dispatch& scalar = detail::scalar_table();
   Xoshiro256 rng(21);
   for (std::size_t n = 1; n <= 513; ++n) {
     std::vector<double> d(n), b(n);
@@ -274,6 +280,27 @@ TEST(Kernels, ExhaustiveSizesOneToFiveHundredThirteen) {
     const std::string label = "exhaustive n=" + std::to_string(n);
     check_reductions(d, label);
     check_min_plus(d, b, label);
+
+    std::vector<double> scaled = d;
+    scalar.scale_inplace(scaled.data(), n, 1.0 / 3.0);
+    const double* rows[] = {d.data(), b.data(), scaled.data()};
+    double want[3];
+    scalar.batch_max(rows, 3, n, want);
+    const std::uint64_t hash = scalar.hash_block(d.data(), n, 77);
+    for (const Dispatch* t : testable_tables()) {
+      SCOPED_TRACE(label + " via " + t->name);
+      EXPECT_EQ(t->hash_block(d.data(), n, 77), hash);
+      std::vector<double> got = d;
+      t->scale_inplace(got.data(), n, 1.0 / 3.0);
+      EXPECT_EQ(std::memcmp(got.data(), scaled.data(), n * sizeof(double)), 0);
+      double out[3];
+      t->batch_max(rows, 3, n, out);
+      for (std::size_t r = 0; r < 3; ++r) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[r]),
+                  std::bit_cast<std::uint64_t>(want[r]))
+            << "row " << r;
+      }
+    }
   }
 }
 
@@ -337,39 +364,25 @@ TEST(Kernels, ForceResolutionOrderIsPinned) {
   const char* err = nullptr;
 
   // Unforced: best supported tier wins.
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, true, false, &err), avx2);
-  EXPECT_EQ(detail::resolve_tables(nullptr, nullptr, false, false, &err),
-            scalar);
+  EXPECT_EQ(detail::resolve_tables(nullptr, true, true, &err), avx512);
+  EXPECT_EQ(detail::resolve_tables(nullptr, true, false, &err), avx2);
+  EXPECT_EQ(detail::resolve_tables(nullptr, false, false, &err), scalar);
 
   // PACGA_FORCE_KERNELS pins a tier; supported requests are honored...
-  EXPECT_EQ(detail::resolve_tables("scalar", nullptr, true, true, &err),
-            scalar);
-  EXPECT_EQ(detail::resolve_tables("avx2", nullptr, true, true, &err), avx2);
-  EXPECT_EQ(detail::resolve_tables("avx512", nullptr, true, true, &err),
-            avx512);
+  EXPECT_EQ(detail::resolve_tables("scalar", true, true, &err), scalar);
+  EXPECT_EQ(detail::resolve_tables("avx2", true, true, &err), avx2);
+  EXPECT_EQ(detail::resolve_tables("avx512", true, true, &err), avx512);
 
   // ...unsupported or malformed ones are refused loudly (null + message),
   // never silently downgraded.
-  EXPECT_EQ(detail::resolve_tables("avx512", nullptr, true, false, &err),
-            nullptr);
+  EXPECT_EQ(detail::resolve_tables("avx512", true, false, &err), nullptr);
   ASSERT_NE(err, nullptr);
   EXPECT_NE(std::string(err).find("avx512"), std::string::npos);
-  EXPECT_EQ(detail::resolve_tables("avx2", nullptr, false, false, &err),
-            nullptr);
+  EXPECT_EQ(detail::resolve_tables("avx2", false, false, &err), nullptr);
   ASSERT_NE(err, nullptr);
-  EXPECT_EQ(detail::resolve_tables("sse9", nullptr, true, true, &err), nullptr);
+  EXPECT_EQ(detail::resolve_tables("sse9", true, true, &err), nullptr);
   ASSERT_NE(err, nullptr);
   EXPECT_NE(std::string(err).find("unrecognized"), std::string::npos);
-
-  // The legacy PACGA_FORCE_SCALAR alias still pins scalar — but only when
-  // PACGA_FORCE_KERNELS is unset (or empty); the new variable wins.
-  EXPECT_EQ(detail::resolve_tables(nullptr, "1", true, true, &err), scalar);
-  EXPECT_EQ(detail::resolve_tables("", "1", true, true, &err), scalar);
-  EXPECT_EQ(detail::resolve_tables(nullptr, "0", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables(nullptr, "", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables("avx512", "1", true, true, &err), avx512);
-  EXPECT_EQ(detail::resolve_tables("avx2", "1", true, true, &err), avx2);
 }
 
 TEST(Kernels, ActiveDispatchIsOneOfTheTables) {
@@ -379,16 +392,10 @@ TEST(Kernels, ActiveDispatchIsOneOfTheTables) {
     EXPECT_EQ(name, "scalar");
   }
   // The forced-tier CI matrix runs the whole suite under each value of
-  // PACGA_FORCE_KERNELS; the legacy PACGA_FORCE_SCALAR alias applies only
-  // when the new variable is unset.
+  // PACGA_FORCE_KERNELS.
   const char* forced_tier = std::getenv("PACGA_FORCE_KERNELS");
   if (forced_tier && *forced_tier) {
     EXPECT_EQ(name, forced_tier);
-  } else {
-    const char* forced = std::getenv("PACGA_FORCE_SCALAR");
-    if (forced && *forced && std::string(forced) != "0") {
-      EXPECT_EQ(name, "scalar");
-    }
   }
 }
 

@@ -3,9 +3,10 @@
 # the shared protocol handler (src/net/protocol.cpp) must be documented in
 # docs/DAEMON_PROTOCOL.md, every daemon command-line flag must appear
 # there too, and every runtime environment switch read anywhere in src/
-# must appear in the README's switch table. Run from anywhere; CI (and
+# must appear in the README's switch table — and every switch that table
+# names must still be read somewhere in src/. Run from anywhere; CI (and
 # `ctest -R docs_consistency`) fails when code grows a verb, flag or
-# switch without its docs.
+# switch without its docs, or drops a switch its docs still list.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -80,6 +81,15 @@ switches=$(grep -rho 'getenv("PACGA_[A-Z_]*")' src \
 for s in $switches; do
   if ! grep -q "\`$s" README.md; then
     echo "MISSING: env switch $s not in the README switch table"
+    fail=1
+  fi
+done
+documented=$(sed -n '/^## Runtime environment switches/,/^## /p' README.md \
+               | grep -o '^| `PACGA_[A-Z_]*' | sed 's/^| `//' | sort -u)
+[ -n "$documented" ] || { echo "BUG: no README switch rows found — check the grep"; exit 1; }
+for s in $documented; do
+  if ! echo "$switches" | grep -qx "$s"; then
+    echo "STALE: README switch table names $s, but no getenv in src/ reads it"
     fail=1
   fi
 done
