@@ -7,8 +7,10 @@
 //
 // End-to-end: the consumers rewired onto the kernels, each against its
 // pre-rewrite reference —
-//   * Min-min / Max-min / Sufferage: cached-best-machine rewrite vs the
-//     naive textbook loop (schedules asserted IDENTICAL);
+//   * Min-min / Max-min at S = 512x16, W = 2048x64 and the class-A shape
+//     (8192x256), Sufferage at 2048x128: cached-best-machine rewrite vs
+//     the naive textbook loop (schedules asserted IDENTICAL; any
+//     DIFFERENT row makes the bench exit 1);
 //   * H2LL: the operator, which keeps its machine order and per-machine
 //     task lists across the passes of a call, vs the former per-pass full
 //     sort and all-task reservoir scan (reference preserved inline here);
@@ -18,9 +20,14 @@
 //     init) vs the naive reference order, plus absolute machine-down
 //     repair latency.
 //
-// Emits BENCH_kernels.json. Default scale matches the acceptance spec
-// (Min-min at 8192x256); --quick shrinks everything for CI smoke runs.
+// Every row is kSamples interleaved repetitions of its arms (arm A, arm B,
+// arm A, ...), reported as the median with its interquartile range: one
+// sample cannot rank two arms whose runs are bimodal. Emits
+// BENCH_kernels.json. Default scale matches the acceptance spec (Min-min at
+// 8192x256; about 4 minutes, mostly the naive references at that shape);
+// --quick shrinks everything for CI smoke runs.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -86,19 +93,57 @@ etc::EtcMatrix random_matrix(std::size_t tasks, std::size_t machines,
   return etc::EtcMatrix(tasks, machines, std::move(data));
 }
 
+// ---- sampling ------------------------------------------------------------
+
+constexpr std::size_t kSamples = 5;
+
+/// Median and interquartile range of one row's samples.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  // Linear interpolation between closest ranks.
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+/// Runs the arms in turn, kSamples rounds of (arm 0, arm 1, ...), so slow
+/// drifts of the host hit every arm alike. Each arm returns one sample —
+/// its own timing, which keeps any per-sample setup outside the clock.
+template <typename... Arms>
+std::array<Spread, sizeof...(Arms)> interleave(Arms&&... arms) {
+  std::array<std::vector<double>, sizeof...(Arms)> samples;
+  for (std::size_t r = 0; r < kSamples; ++r) {
+    std::size_t i = 0;
+    ((samples[i++].push_back(arms())), ...);
+  }
+  std::array<Spread, sizeof...(Arms)> out;
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = spread_of(samples[i]);
+  return out;
+}
+
 // ---- kernel-level microbench ---------------------------------------------
 
 struct KernelPoint {
   const char* kernel;
   const char* dispatch;  ///< which SIMD table the dispatched arm ran
   std::size_t machines;
-  double scalar_ns;
-  double dispatched_ns;
-  double speedup;
+  Spread scalar_ns;
+  Spread dispatched_ns;
+  double speedup;  ///< of the medians
 };
 
-/// ns per call of `fn`, amortized over enough repetitions to swamp timer
-/// noise. `sink` keeps the optimizer honest.
+/// One sample: ns per call of `fn`, amortized over enough repetitions to
+/// swamp timer noise. `sink` keeps the optimizer honest.
 template <typename Fn>
 double time_ns(Fn&& fn, std::size_t reps) {
   volatile double sink = 0.0;
@@ -136,17 +181,22 @@ std::vector<KernelPoint> bench_kernel_level(std::uint64_t seed) {
       for (auto& v : batch[b]) v = rng.uniform(0.0, 1e6);
       batch_rows[b] = batch[b].data();
     }
-    const std::size_t reps = std::max<std::size_t>(1, 40'000'000 / n);
+    // Per sample; kSamples samples per arm keep the row at ~40M elements.
+    const std::size_t reps = std::max<std::size_t>(1, 8'000'000 / n);
 
     for (const kernels::Dispatch* tier : tiers) {
       const auto point = [&](const char* name, std::size_t point_reps,
                              auto scalar_fn, auto tier_fn) {
-        const double s = time_ns(scalar_fn, point_reps);
-        const double d = time_ns(tier_fn, point_reps);
-        points.push_back({name, tier->name, n, s, d, s / d});
+        const auto [s, d] =
+            interleave([&] { return time_ns(scalar_fn, point_reps); },
+                       [&] { return time_ns(tier_fn, point_reps); });
+        const double speedup = s.median / d.median;
+        points.push_back({name, tier->name, n, s, d, speedup});
         std::printf(
-            "  %-10s n=%5zu  scalar %8.1f ns  %-6s %8.1f ns  %5.2fx\n",
-            name, n, s, tier->name, d, s / d);
+            "  %-10s n=%5zu  scalar %8.1f ns [%.1f-%.1f]  %-6s %8.1f ns "
+            "[%.1f-%.1f]  %5.2fx\n",
+            name, n, s.median, s.q1, s.q3, tier->name, d.median, d.q1, d.q3,
+            speedup);
       };
       point(
           "max", reps, [&] { return scalar.max_value(ct.data(), n); },
@@ -184,9 +234,9 @@ struct EndToEnd {
   std::string name;
   std::size_t tasks = 0;
   std::size_t machines = 0;
-  double reference_ms = 0.0;
-  double accelerated_ms = 0.0;
-  double speedup = 0.0;
+  Spread reference_ms;
+  Spread accelerated_ms;
+  double speedup = 0.0;  ///< of the medians
   bool identical = false;
   /// Only the heuristic arms are required (and checked) to produce the
   /// reference's exact schedule; h2ll/kauto report null in the JSON.
@@ -195,8 +245,9 @@ struct EndToEnd {
   bool has_reference = true;
 };
 
+/// One sample: ms of one call of `fn`.
 template <typename Fn>
-double time_ms_once(Fn&& fn) {
+double time_ms(Fn&& fn) {
   support::WallTimer timer;
   fn();
   return timer.elapsed_seconds() * 1e3;
@@ -209,17 +260,30 @@ EndToEnd bench_heuristic(const char* name, const etc::EtcMatrix& m,
   r.name = name;
   r.tasks = m.tasks();
   r.machines = m.machines();
+  // Every sample's pair of schedules is compared, not just the last.
   std::unique_ptr<sched::Schedule> a, b;
-  r.accelerated_ms =
-      time_ms_once([&] { a = std::make_unique<sched::Schedule>(accel(m)); });
-  r.reference_ms =
-      time_ms_once([&] { b = std::make_unique<sched::Schedule>(naive(m)); });
-  r.speedup = r.reference_ms / r.accelerated_ms;
-  r.identical = a->hamming_distance(*b) == 0;
+  r.identical = true;
+  const auto [accelerated, reference] = interleave(
+      [&] {
+        return time_ms([&] { a = std::make_unique<sched::Schedule>(accel(m)); });
+      },
+      [&] {
+        const double ms =
+            time_ms([&] { b = std::make_unique<sched::Schedule>(naive(m)); });
+        r.identical = r.identical && a->hamming_distance(*b) == 0;
+        return ms;
+      });
+  r.accelerated_ms = accelerated;
+  r.reference_ms = reference;
+  r.speedup = r.reference_ms.median / r.accelerated_ms.median;
   r.identical_checked = true;
-  std::printf("  %-10s %zux%zu  naive %9.1f ms  accel %8.1f ms  %5.2fx  %s\n",
-              name, r.tasks, r.machines, r.reference_ms, r.accelerated_ms,
-              r.speedup, r.identical ? "identical" : "DIFFERENT");
+  std::printf(
+      "  %-10s %5zux%-4zu naive %9.2f ms [%.2f-%.2f]  accel %8.3f ms "
+      "[%.3f-%.3f]  %6.2fx  %s\n",
+      name, r.tasks, r.machines, r.reference_ms.median, r.reference_ms.q1,
+      r.reference_ms.q3, r.accelerated_ms.median, r.accelerated_ms.q1,
+      r.accelerated_ms.q3, r.speedup,
+      r.identical ? "identical" : "DIFFERENT");
   return r;
 }
 
@@ -269,25 +333,27 @@ EndToEnd bench_h2ll(const Options& opts) {
   r.tasks = m.tasks();
   r.machines = m.machines();
   const cga::H2LLParams params{opts.h2ll_iterations, 0};
-  {
+  // Every sample descends from the same random start.
+  const auto sample = [&](auto&& op) {
     support::Xoshiro256 rng(opts.seed);
     auto s = sched::Schedule::random(m, rng);
-    r.reference_ms = time_ms_once([&] { h2ll_sorted_reference(s, params, rng); });
-  }
-  {
-    support::Xoshiro256 rng(opts.seed);
-    auto s = sched::Schedule::random(m, rng);
-    r.accelerated_ms = time_ms_once([&] { cga::h2ll(s, params, rng); });
-  }
-  r.speedup = r.reference_ms / r.accelerated_ms;
+    return time_ms([&] { op(s, params, rng); });
+  };
+  const auto [reference, accelerated] =
+      interleave([&] { return sample(h2ll_sorted_reference); },
+                 [&] { return sample(cga::h2ll); });
+  r.reference_ms = reference;
+  r.accelerated_ms = accelerated;
+  r.speedup = r.reference_ms.median / r.accelerated_ms.median;
   // Different (deterministic) tie-break definitions: schedules are not
   // required to match here, only both to be valid descents —
   // identical_checked stays false and the JSON reports null.
   std::printf(
-      "  %-10s %zux%zu  sorted %8.1f ms  incremental %7.1f ms  %5.2fx "
-      "(%zu iters)\n",
-      "h2ll", r.tasks, r.machines, r.reference_ms, r.accelerated_ms, r.speedup,
-      opts.h2ll_iterations);
+      "  %-10s %zux%zu  sorted %8.1f ms [%.1f-%.1f]  incremental %7.1f ms "
+      "[%.1f-%.1f]  %5.2fx (%zu iters)\n",
+      "h2ll", r.tasks, r.machines, r.reference_ms.median, r.reference_ms.q1,
+      r.reference_ms.q3, r.accelerated_ms.median, r.accelerated_ms.q1,
+      r.accelerated_ms.q3, r.speedup, opts.h2ll_iterations);
   return r;
 }
 
@@ -320,10 +386,12 @@ EndToEnd bench_kauto(const Options& opts) {
   r.name = "service-kauto";
   r.tasks = m->tasks();
   r.machines = m->machines();
-  r.accelerated_ms = kauto_ms_per_job(m, opts.service_jobs, opts.seed);
+  r.accelerated_ms = interleave(
+      [&] { return kauto_ms_per_job(m, opts.service_jobs, opts.seed); })[0];
   r.has_reference = false;
-  std::printf("  %-10s %zux%zu  accel %8.1f ms/job\n", "kauto", r.tasks,
-              r.machines, r.accelerated_ms);
+  std::printf("  %-10s %zux%zu  accel %8.1f ms/job [%.1f-%.1f]\n", "kauto",
+              r.tasks, r.machines, r.accelerated_ms.median,
+              r.accelerated_ms.q1, r.accelerated_ms.q3);
   return r;
 }
 
@@ -332,10 +400,10 @@ EndToEnd bench_kauto(const Options& opts) {
 struct RepairResult {
   std::size_t tasks;
   std::size_t machines;
-  double full_repair_ms;     ///< session init: every task orphaned
-  double naive_reference_ms; ///< naive Min-min over the same instance
-  double speedup;
-  double machine_down_ms;    ///< one machine-down apply (repair incl.)
+  Spread full_repair_ms;     ///< session init: every task orphaned
+  Spread naive_reference_ms; ///< naive Min-min over the same instance
+  double speedup;            ///< of the medians
+  Spread machine_down_ms;    ///< one machine-down apply (repair incl.)
   std::size_t orphans;
 };
 
@@ -348,30 +416,52 @@ RepairResult bench_repair(const Options& opts) {
   r.tasks = spec.tasks;
   r.machines = spec.machines;
   std::unique_ptr<dynamic::RescheduleSession> session;
-  // Session init repairs with the FULL task set orphaned — constructive
-  // Min-min from scratch, through the cached-orphan repairer.
-  r.full_repair_ms = time_ms_once([&] {
-    session = std::make_unique<dynamic::RescheduleSession>(
-        spec, dynamic::RepairPolicy::kMinMin);
-  });
-  r.naive_reference_ms = time_ms_once(
-      [&] { (void)heur::detail::min_min_naive(session->etc()); });
-  r.speedup = r.naive_reference_ms / r.full_repair_ms;
-  // Steady-state event: drop the most loaded machine, repair in place.
-  const std::size_t victim = session->schedule().argmax_machine();
-  r.orphans = session->schedule().tasks_on(
-      static_cast<sched::MachineId>(victim));
-  r.machine_down_ms =
-      time_ms_once([&] { session->apply(dynamic::machine_down(victim)); });
+  const auto [full, naive, down] = interleave(
+      [&] {
+        // Session init repairs with the FULL task set orphaned —
+        // constructive Min-min from scratch, through the cached-orphan
+        // repairer.
+        return time_ms([&] {
+          session = std::make_unique<dynamic::RescheduleSession>(
+              spec, dynamic::RepairPolicy::kMinMin);
+        });
+      },
+      [&] {
+        return time_ms(
+            [&] { (void)heur::detail::min_min_naive(session->etc()); });
+      },
+      [&] {
+        // Steady-state event: drop the most loaded machine, repair in
+        // place.
+        const std::size_t victim = session->schedule().argmax_machine();
+        r.orphans = session->schedule().tasks_on(
+            static_cast<sched::MachineId>(victim));
+        return time_ms(
+            [&] { session->apply(dynamic::machine_down(victim)); });
+      });
+  r.full_repair_ms = full;
+  r.naive_reference_ms = naive;
+  r.machine_down_ms = down;
+  r.speedup = naive.median / full.median;
   std::printf(
-      "  %-10s %zux%zu  naive %9.1f ms  repair-init %7.1f ms  %5.2fx  "
-      "(machine-down: %.3f ms, %zu orphans)\n",
-      "repair", r.tasks, r.machines, r.naive_reference_ms, r.full_repair_ms,
-      r.speedup, r.machine_down_ms, r.orphans);
+      "  %-10s %zux%zu  naive %9.1f ms [%.1f-%.1f]  repair-init %7.1f ms "
+      "[%.1f-%.1f]  %5.2fx  (machine-down: %.3f ms [%.3f-%.3f], %zu "
+      "orphans)\n",
+      "repair", r.tasks, r.machines, naive.median, naive.q1, naive.q3,
+      full.median, full.q1, full.q3, r.speedup, down.median, down.q1,
+      down.q3, r.orphans);
   return r;
 }
 
 // ---- JSON ----------------------------------------------------------------
+
+/// `"key": median, "key_iqr": [q1, q3]` with `digits` decimals.
+std::string json_spread(const char* key, const Spread& s, int digits) {
+  char buf[192];
+  std::snprintf(buf, sizeof buf, "\"%s\": %.*f, \"%s_iqr\": [%.*f, %.*f]",
+                key, digits, s.median, key, digits, s.q1, digits, s.q3);
+  return buf;
+}
 
 void write_json(const char* path, const Options& opts,
                 const std::vector<KernelPoint>& points,
@@ -388,38 +478,42 @@ void write_json(const char* path, const Options& opts,
     const auto& p = points[i];
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"machines\": %zu, "
-                 "\"scalar_ns\": %.1f, \"dispatched_ns\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 p.kernel, p.dispatch, p.machines, p.scalar_ns,
-                 p.dispatched_ns, p.speedup,
+                 "\"machines\": %zu, %s, %s, \"speedup\": %.2f}%s\n",
+                 p.kernel, p.dispatch, p.machines,
+                 json_spread("scalar_ns", p.scalar_ns, 1).c_str(),
+                 json_spread("dispatched_ns", p.dispatched_ns, 1).c_str(),
+                 p.speedup,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"end_to_end\": [\n");
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const auto& r = e2e[i];
-    char reference[32] = "null";
+    std::string reference =
+        "\"reference_ms\": null, \"reference_ms_iqr\": null";
     char speedup[32] = "null";
     if (r.has_reference) {
-      std::snprintf(reference, sizeof reference, "%.2f", r.reference_ms);
+      reference = json_spread("reference_ms", r.reference_ms, 3);
       std::snprintf(speedup, sizeof speedup, "%.2f", r.speedup);
     }
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"tasks\": %zu, \"machines\": %zu, "
-                 "\"reference_ms\": %s, \"accelerated_ms\": %.2f, "
-                 "\"speedup\": %s, \"identical_schedule\": %s}%s\n",
-                 r.name.c_str(), r.tasks, r.machines, reference,
-                 r.accelerated_ms, speedup,
+                 "%s, %s, \"speedup\": %s, \"identical_schedule\": %s}%s\n",
+                 r.name.c_str(), r.tasks, r.machines, reference.c_str(),
+                 json_spread("accelerated_ms", r.accelerated_ms, 3).c_str(),
+                 speedup,
                  !r.identical_checked ? "null" : r.identical ? "true" : "false",
                  i + 1 < e2e.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n  \"repair\": {\"tasks\": %zu, \"machines\": %zu, "
-               "\"naive_reference_ms\": %.2f, \"full_repair_ms\": %.2f, "
-               "\"speedup\": %.2f, \"machine_down_ms\": %.3f, "
-               "\"orphans\": %zu}\n}\n",
-               repair.tasks, repair.machines, repair.naive_reference_ms,
-               repair.full_repair_ms, repair.speedup, repair.machine_down_ms,
+               "%s, %s, \"speedup\": %.2f, %s, \"orphans\": %zu}\n}\n",
+               repair.tasks, repair.machines,
+               json_spread("naive_reference_ms", repair.naive_reference_ms, 2)
+                   .c_str(),
+               json_spread("full_repair_ms", repair.full_repair_ms, 2).c_str(),
+               repair.speedup,
+               json_spread("machine_down_ms", repair.machine_down_ms, 3)
+                   .c_str(),
                repair.orphans);
   std::fclose(out);
   std::printf("wrote %s\n", path);
@@ -455,9 +549,11 @@ int main(int argc, char** argv) {
 
   std::printf("end-to-end:\n");
   std::vector<EndToEnd> e2e;
-  {
-    const auto m =
-        random_matrix(opts.minmin_tasks, opts.minmin_machines, opts.seed + 3);
+  // The service's S and W shapes, then the class-A shape.
+  const std::size_t minmin_shapes[][2] = {
+      {512, 16}, {2048, 64}, {opts.minmin_tasks, opts.minmin_machines}};
+  for (const auto& shape : minmin_shapes) {
+    const auto m = random_matrix(shape[0], shape[1], opts.seed + 3);
     e2e.push_back(bench_heuristic("min-min", m, heur::min_min,
                                   heur::detail::min_min_naive));
     e2e.push_back(bench_heuristic("max-min", m, heur::max_min,
@@ -474,5 +570,16 @@ int main(int argc, char** argv) {
   const RepairResult repair = bench_repair(opts);
 
   write_json("BENCH_kernels.json", opts, points, e2e, repair);
+  // A schedule that differs from its reference is a correctness failure,
+  // not a timing: fail the run so the CI smoke step catches it.
+  const bool all_identical =
+      std::all_of(e2e.begin(), e2e.end(), [](const EndToEnd& r) {
+        return !r.identical_checked || r.identical;
+      });
+  if (!all_identical) {
+    std::fprintf(stderr, "bench_kernels: a schedule DIFFERENT from its "
+                         "naive reference\n");
+    return 1;
+  }
   return 0;
 }

@@ -9,14 +9,15 @@ namespace pacga::cga {
 Population::Population(const etc::EtcMatrix& etc, Grid grid,
                        support::Xoshiro256& rng, bool seed_min_min,
                        sched::Objective objective, double lambda)
-    : grid_(grid) {
+    : grid_(grid), min_min_seed_(etc.tasks()) {
   cells_.reserve(grid_.size());
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     cells_.push_back(Individual::evaluated(sched::Schedule::random(etc, rng),
                                            objective, lambda));
   }
   if (seed_min_min && !cells_.empty()) {
-    cells_[0] = Individual::evaluated(heur::min_min(etc), objective, lambda);
+    heur::min_min_into(etc, min_min_seed_);
+    seed_cell(0, etc, min_min_seed_, objective, lambda);
   }
   locks_ = std::make_unique<support::Padded<std::shared_mutex>[]>(grid_.size());
 }
@@ -33,9 +34,8 @@ void Population::reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
     cell.fitness = sched::evaluate(cell.schedule, objective, lambda);
   }
   if (seed_min_min) {
-    const sched::Schedule seeded = heur::min_min(etc);
-    cells_[0].schedule.adopt(etc, seeded.assignment());
-    cells_[0].fitness = sched::evaluate(cells_[0].schedule, objective, lambda);
+    heur::min_min_into(etc, min_min_seed_);
+    seed_cell(0, etc, min_min_seed_, objective, lambda);
   }
 }
 

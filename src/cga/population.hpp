@@ -40,9 +40,10 @@ class Population {
   /// machines shape: every cell is rebound to `etc` and randomized into
   /// its existing storage (no per-cell reallocation); cell 0 optionally
   /// gets the Min-min seed. The per-cell locks are untouched. This is the
-  /// warm-start path of the scheduler service — apart from the optional
-  /// Min-min construction (which allocates internally), a reseed of a
-  /// same-shape population performs zero heap allocations. Throws
+  /// warm-start path of the scheduler service: a reseed of a same-shape
+  /// population performs zero heap allocations, Min-min seed included
+  /// (heur::min_min_into writes into a population-owned buffer and runs on
+  /// thread-local scratch that the first seed on a thread sizes). Throws
   /// std::invalid_argument when `etc`'s shape differs from the shape the
   /// population was built for.
   void reseed(const etc::EtcMatrix& etc, support::Xoshiro256& rng,
@@ -79,6 +80,7 @@ class Population {
   Grid grid_;
   std::vector<Individual> cells_;
   std::unique_ptr<support::Padded<std::shared_mutex>[]> locks_;
+  std::vector<sched::MachineId> min_min_seed_;  // one entry per task
 };
 
 }  // namespace pacga::cga

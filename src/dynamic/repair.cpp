@@ -174,7 +174,7 @@ void ScheduleRepairer::reassign_orphans(const etc::EtcMatrix& etc) {
   // pure function of its inputs — the golden tests depend on that, and
   // test_dynamic pins this loop pick-for-pick against the naive
   // exhaustive-rescan reference. (One of three sites sharing the
-  // monotone-load exactness invariant — see min_max_min_fast in
+  // monotone-load exactness invariant — see min_max_min_into in
   // heuristics/minmin.cpp.)
   const std::size_t machines = etc.machines();
   const std::size_t n = orphans_.size();

@@ -1,6 +1,8 @@
 #include "heuristics/minmin.hpp"
 
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "support/kernels.hpp"
@@ -54,15 +56,30 @@ sched::Schedule min_max_min_naive(const etc::EtcMatrix& etc, bool pick_max) {
   return sched::Schedule(etc, std::move(assignment));
 }
 
-/// Accelerated skeleton: cached best machine per task + invalidation.
+/// Reusable scratch of the accelerated skeleton. Grow-only: vectors are
+/// resized, never shrunk, so repeated calls at one shape on one thread
+/// allocate nothing.
+struct MinMaxMinScratch {
+  std::vector<double> ct;            // machine completion times
+  std::vector<double> key;           // task's best completion time
+  std::vector<std::uint32_t> best_m; // task's cached best machine
+  std::vector<std::uint32_t> head;   // per machine: first live task on it
+  std::vector<std::uint32_t> next;   // per task: next live task, same list
+};
+
+constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
+
+/// Accelerated skeleton: cached best machine per task + invalidation,
+/// with the live tasks kept in one intrusive list per cached best machine.
 ///
 /// NOTE: this exactness invariant is implemented three times, shaped by
-/// each site's data layout — here (dense key arrays, +/-inf parking),
-/// sufferage.cpp's sufferage (adds a cached second slot), and the
-/// dynamic repairer's reassign_orphans (erase-based orphan list). If you
-/// touch the invalidation condition or a tie-break in one, audit the
-/// other two; each copy is pinned schedule-for-schedule to its own naive
-/// reference (test_heuristics, test_dynamic).
+/// each site's data layout — here (dense key arrays plus per-machine
+/// lists of live tasks), sufferage.cpp's sufferage (adds a cached second
+/// slot, scans every live task per round), and the dynamic repairer's
+/// reassign_orphans (erase-based orphan list). If you touch the
+/// invalidation condition or a tie-break in one, audit the other two;
+/// each copy is pinned schedule-for-schedule to its own naive reference
+/// (test_heuristics, test_dynamic).
 ///
 /// Why the cache stays exact: committing a task strictly RAISES its
 /// machine's completion (ETC entries are positive) and touches nothing
@@ -70,45 +87,63 @@ sched::Schedule min_max_min_naive(const etc::EtcMatrix& etc, bool pick_max) {
 /// both the minimal value and its lowest achieving index are therefore
 /// unchanged — the one machine that moved only got worse. Only tasks whose
 /// cached best machine just took load are rescanned, through the fused
-/// SIMD min-scan; the per-round winner is one argmin/argmax kernel scan
-/// over the dense key array (finished tasks parked at +/-infinity, which
-/// no live completion time can reach). Strict comparisons everywhere keep
-/// the naive loop's lowest-index tie-breaks.
-sched::Schedule min_max_min_fast(const etc::EtcMatrix& etc, bool pick_max) {
+/// SIMD min-scan; they are exactly the committed machine's list, so a
+/// round detaches that list and pushes each rescanned task onto its new
+/// best machine's list — a round costs the tasks on the loaded machine,
+/// not a pass over every task. Rescans within a round read the same `ct`,
+/// so the walk order cannot change a result. The per-round winner is one
+/// argmin/argmax kernel scan over the dense key array (finished tasks
+/// parked at +/-infinity, which no live completion time can reach).
+/// Strict comparisons everywhere keep the naive loop's lowest-index
+/// tie-breaks.
+void min_max_min_into(const etc::EtcMatrix& etc, bool pick_max,
+                      std::span<sched::MachineId> assignment) {
   const std::size_t tasks = etc.tasks();
   const std::size_t machines = etc.machines();
-  std::vector<double> ct(machines);
+  thread_local MinMaxMinScratch scratch;
+  scratch.ct.resize(machines);
+  scratch.key.resize(tasks);
+  scratch.best_m.resize(tasks);
+  scratch.head.assign(machines, kEnd);
+  scratch.next.resize(tasks);
+  double* const ct = scratch.ct.data();
+  double* const key = scratch.key.data();
+  std::uint32_t* const best_m = scratch.best_m.data();
+  std::uint32_t* const head = scratch.head.data();
+  std::uint32_t* const next = scratch.next.data();
   for (std::size_t m = 0; m < machines; ++m) ct[m] = etc.ready(m);
-  std::vector<sched::MachineId> assignment(tasks, 0);
+
+  const auto rescan = [&](std::uint32_t t) {
+    const auto r =
+        kernels::min_completion_index(ct, etc.of_task(t).data(), machines);
+    const auto m = static_cast<std::uint32_t>(r.index);
+    key[t] = r.value;
+    best_m[t] = m;
+    next[t] = head[m];
+    head[m] = t;
+  };
+  for (std::size_t t = 0; t < tasks; ++t) rescan(static_cast<std::uint32_t>(t));
 
   const double parked = pick_max ? -std::numeric_limits<double>::infinity()
                                  : std::numeric_limits<double>::infinity();
-  std::vector<double> key(tasks);          // task's best completion time
-  std::vector<std::uint32_t> best_m(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    const auto r =
-        kernels::min_completion_index(ct.data(), etc.of_task(t).data(), machines);
-    key[t] = r.value;
-    best_m[t] = static_cast<std::uint32_t>(r.index);
-  }
-
   for (std::size_t round = 0; round < tasks; ++round) {
-    const std::size_t chosen = pick_max ? kernels::argmax(key.data(), tasks)
-                                        : kernels::argmin(key.data(), tasks);
+    const std::size_t chosen = pick_max ? kernels::argmax(key, tasks)
+                                        : kernels::argmin(key, tasks);
     const std::uint32_t machine = best_m[chosen];
     assignment[chosen] = static_cast<sched::MachineId>(machine);
     ct[machine] = key[chosen];
     key[chosen] = parked;
     if (round + 1 == tasks) break;
-    for (std::size_t t = 0; t < tasks; ++t) {
-      if (best_m[t] != machine || key[t] == parked) continue;
-      const auto r = kernels::min_completion_index(
-          ct.data(), etc.of_task(t).data(), machines);
-      key[t] = r.value;
-      best_m[t] = static_cast<std::uint32_t>(r.index);
+    // The chosen task is on this list too: dropping it instead of
+    // re-linking it is what retires it.
+    std::uint32_t t = head[machine];
+    head[machine] = kEnd;
+    while (t != kEnd) {
+      const std::uint32_t after = next[t];
+      if (t != chosen) rescan(t);
+      t = after;
     }
   }
-  return sched::Schedule(etc, std::move(assignment));
 }
 
 }  // namespace
@@ -125,12 +160,23 @@ sched::Schedule max_min_naive(const etc::EtcMatrix& etc) {
 
 }  // namespace detail
 
+void min_min_into(const etc::EtcMatrix& etc,
+                  std::span<sched::MachineId> assignment) {
+  if (assignment.size() != etc.tasks())
+    throw std::invalid_argument("min_min_into: assignment size != tasks");
+  min_max_min_into(etc, /*pick_max=*/false, assignment);
+}
+
 sched::Schedule min_min(const etc::EtcMatrix& etc) {
-  return min_max_min_fast(etc, /*pick_max=*/false);
+  std::vector<sched::MachineId> assignment(etc.tasks());
+  min_max_min_into(etc, /*pick_max=*/false, assignment);
+  return sched::Schedule(etc, std::move(assignment));
 }
 
 sched::Schedule max_min(const etc::EtcMatrix& etc) {
-  return min_max_min_fast(etc, /*pick_max=*/true);
+  std::vector<sched::MachineId> assignment(etc.tasks());
+  min_max_min_into(etc, /*pick_max=*/true, assignment);
+  return sched::Schedule(etc, std::move(assignment));
 }
 
 sched::Schedule duplex(const etc::EtcMatrix& etc) {

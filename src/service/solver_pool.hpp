@@ -9,8 +9,9 @@
 // (tasks x machines) shape re-initialize the existing buffers in place
 // (Population::reseed, Schedule::randomize_from, SweepOrderCache::reset,
 // BestTracker::reset), so the steady-state serving path performs ZERO heap
-// allocations for kCga jobs without Min-min seeding — the breeding path
-// itself is allocation-free with seeding too (test_service pins both).
+// allocations for kCga jobs, Min-min seed included (heur::min_min_into
+// runs on thread-local scratch; test_service pins it with seeding on and
+// off).
 //
 // Policy escalation (kAuto): tiny-or-urgent jobs get Min-min+Sufferage
 // (microseconds, near-optimal at that scale); real budgets get the warm

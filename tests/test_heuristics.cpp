@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "support/stats.hpp"
 
+#include "etc/braun.hpp"
 #include "etc/suite.hpp"
 
 namespace pacga::heur {
@@ -185,6 +187,81 @@ TEST(AcceleratedHeuristics, MatchNaiveWithExactTies) {
   expect_identical(min_min(m), detail::min_min_naive(m), "min_min ties");
   expect_identical(max_min(m), detail::max_min_naive(m), "max_min ties");
   expect_identical(sufferage(m), detail::sufferage_naive(m), "sufferage ties");
+}
+
+// Min-min / Max-min keep their live tasks in one list per cached best
+// machine and rescan only the committed machine's list each round. The
+// cases below stress the lists: a consistent matrix puts every task on
+// machine 0's list (the longest lists there are), one machine or one task
+// are the degenerate ends, ready times skew the first picks, and exact ties
+// at a few machines keep dozens of tasks on each list.
+
+void expect_min_max_min_identical(const etc::EtcMatrix& m, const char* what) {
+  expect_identical(min_min(m), detail::min_min_naive(m), what);
+  expect_identical(max_min(m), detail::max_min_naive(m), what);
+}
+
+TEST(AcceleratedHeuristics, MinMaxMinMatchNaiveOnLargeBraunClasses) {
+  for (const auto c : {etc::Consistency::kConsistent,
+                       etc::Consistency::kSemiConsistent,
+                       etc::Consistency::kInconsistent}) {
+    etc::GenSpec spec;
+    spec.tasks = 2048;
+    spec.machines = 64;
+    spec.consistency = c;
+    spec.seed = 11;
+    expect_min_max_min_identical(etc::generate(spec), etc::to_string(c));
+  }
+}
+
+TEST(AcceleratedHeuristics, MinMaxMinMatchNaiveAtOneTaskOrOneMachine) {
+  for (const bool with_ready : {false, true}) {
+    expect_min_max_min_identical(random_instance(1, 1, 3, with_ready), "1x1");
+    expect_min_max_min_identical(random_instance(1, 64, 4, with_ready),
+                                 "1 task");
+    expect_min_max_min_identical(random_instance(300, 1, 5, with_ready),
+                                 "1 machine");
+  }
+}
+
+TEST(AcceleratedHeuristics, MinMaxMinMatchNaiveWithReadyTimes) {
+  etc::GenSpec spec;
+  spec.tasks = 768;
+  spec.machines = 24;
+  spec.consistency = etc::Consistency::kSemiConsistent;
+  spec.ready_fraction = 0.5;
+  spec.seed = 12;
+  const auto braun = etc::generate(spec);
+  ASSERT_GT(braun.ready(0) + braun.ready(1), 0.0);
+  expect_min_max_min_identical(braun, "braun ready");
+  expect_min_max_min_identical(random_instance(640, 40, 13, true),
+                               "random ready");
+}
+
+TEST(AcceleratedHeuristics, MinMaxMinMatchNaiveWithTiesOnLongLists) {
+  // 512 tasks on 8 machines, three distinct values: every round ties, and
+  // each list holds ~64 tasks.
+  {
+    support::Xoshiro256 rng(6);
+    std::vector<double> data(512 * 8);
+    for (auto& v : data) v = 1.0 + static_cast<double>(rng.index(3));
+    expect_min_max_min_identical(etc::EtcMatrix(512, 8, std::move(data)),
+                                 "three values");
+  }
+  // Every entry equal: all tasks tie on every machine, so every pick is
+  // decided by the lowest task and machine index alone.
+  expect_min_max_min_identical(
+      etc::EtcMatrix(384, 12, std::vector<double>(384 * 12, 7.0)),
+      "all equal");
+}
+
+TEST(MinMin, IntoCallerStorageMatchesAndChecksSize) {
+  const auto m = random_instance(200, 12, 21, true);
+  std::vector<sched::MachineId> out(m.tasks());
+  min_min_into(m, out);
+  EXPECT_EQ(sched::Schedule(m, out).hamming_distance(min_min(m)), 0u);
+  std::vector<sched::MachineId> short_out(m.tasks() - 1);
+  EXPECT_THROW(min_min_into(m, short_out), std::invalid_argument);
 }
 
 TEST(AcceleratedHeuristics, MatchNaiveOnBraunSuite) {

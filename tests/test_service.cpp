@@ -1171,8 +1171,8 @@ TEST(WarmSolver, RepeatedSameShapeSolvesAllocateNothing) {
   // THE acceptance property of the warm pool: after the first solve sizes
   // the arena for a shape, a whole kCga solve of another same-shape job —
   // population reseed, sweep loop, breeding, result fill — performs ZERO
-  // heap allocations (Min-min seeding off: the constructive heuristic
-  // allocates internally and is the documented exception).
+  // heap allocations (Min-min seeding off here;
+  // SeededSameShapeSolvesAllocateNothing covers the default, seeding on).
   cga::Config base;
   base.seed_min_min = false;
   base.local_search.iterations = 10;  // paper configuration
@@ -1200,10 +1200,49 @@ TEST(WarmSolver, RepeatedSameShapeSolvesAllocateNothing) {
       << "warm same-shape kCga solve must not touch the heap";
 }
 
+TEST(WarmSolver, SeededSameShapeSolvesAllocateNothing) {
+  // The default config seeds cell 0 with Min-min. The seed is written into
+  // population-owned storage on grow-only thread-local scratch, so once a
+  // shape's arena is built and the scratch sized, a whole seeded kCga solve
+  // — Min-min included — performs ZERO heap allocations. Two shapes, the
+  // larger second, so the scratch also has to grow between them.
+  cga::Config base;  // seed_min_min = true
+  ASSERT_TRUE(base.seed_min_min);
+  base.local_search.iterations = 10;
+  WarmSolver solver(base);
+
+  JobSpec spec;
+  spec.policy = SolvePolicy::kCga;
+  spec.max_generations = 5;
+  spec.use_cache = false;
+  JobResult out;
+  const std::size_t shapes[][2] = {{64, 8}, {256, 32}};
+  for (const auto& shape : shapes) {
+    std::vector<std::shared_ptr<const etc::EtcMatrix>> jobs;
+    for (std::uint64_t k = 1; k <= 4; ++k) {
+      jobs.push_back(instance(shape[0], shape[1], 10 * shape[0] + k));
+    }
+    spec.seed = 1;
+    solver.solve(*jobs[0], spec, 10.0, nullptr, out);  // cold: builds arena
+    spec.seed = 2;
+    solver.solve(*jobs[1], spec, 10.0, nullptr, out);  // warm-up
+    ASSERT_EQ(out.assignment.size(), shape[0]);
+
+    for (std::size_t j = 2; j < jobs.size(); ++j) {
+      spec.seed = j + 1;
+      const std::uint64_t before = alloc_counter::count();
+      solver.solve(*jobs[j], spec, 10.0, nullptr, out);
+      EXPECT_EQ(alloc_counter::count(), before)
+          << "seeded warm kCga solve at " << shape[0] << "x" << shape[1]
+          << " must not touch the heap";
+    }
+  }
+}
+
 TEST(WarmSolver, BreedingPathAllocationFreeWithMinMinSeeding) {
-  // With the default Min-min seeding ON, per-job setup allocates (the
-  // heuristic does), but the breeding path — everything between the first
-  // and the last generation — must still be allocation-free.
+  // With the default Min-min seeding ON, the breeding path — everything
+  // between the first and the last generation — must be allocation-free
+  // (the whole solve is, see SeededSameShapeSolvesAllocateNothing).
   cga::Config base;  // seed_min_min = true
   base.local_search.iterations = 10;
   WarmSolver solver(base);
@@ -1480,13 +1519,16 @@ TEST(Supervisor, WatchdogRefusesStallVerdictWhileRetryClaimIsHeld) {
   EXPECT_EQ(respawns.load(), 0);
   EXPECT_FALSE(sup.superseded(0, gen));
   // Claim down (as after a re-queue): the same stall now draws the
-  // verdict, the supersession, and the respawn.
+  // verdict, the supersession, and the respawn. The supervisor commits the
+  // failed result first and calls respawn last, so wait for the respawn:
+  // once it has run, every other step of the verdict has too.
   job->release_retry_claim();
   support::WallTimer t;
-  while (!job->is_finished()) {
+  while (respawns.load() == 0) {
     ASSERT_LT(t.elapsed_seconds(), 5.0) << "watchdog never fired";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_TRUE(job->is_finished());
   EXPECT_EQ(job->result.status, JobStatus::kFailed);
   EXPECT_EQ(job->result.error, "stalled");
   EXPECT_TRUE(sup.superseded(0, gen));
