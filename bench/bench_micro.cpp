@@ -23,7 +23,6 @@
 #include "etc/suite.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
-#include "pacga/cellwise_engine.hpp"
 #include "pacga/parallel_engine.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -374,8 +373,10 @@ void write_engines_json(const char* path) {
     emit("sequential", r.evaluations, r.elapsed_seconds, false);
   }
   {
-    const auto r = par::run_cellwise(m, config);
-    emit("cellwise", r.result.evaluations, r.result.elapsed_seconds, false);
+    cga::Config sync = config;
+    sync.update = cga::UpdatePolicy::kSynchronous;
+    const auto r = cga::run_sequential(m, sync);
+    emit("sequential_sync", r.evaluations, r.elapsed_seconds, false);
   }
   {
     cga::Config async = config;

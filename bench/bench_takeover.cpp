@@ -9,6 +9,7 @@
 // of cells carrying the best fitness after each generation. Smaller
 // neighborhoods and synchronous updates take over more slowly — the
 // diversity-preservation property the cellular structure buys.
+#include <atomic>
 #include <cstdio>
 #include <iostream>
 
@@ -22,15 +23,16 @@ namespace {
 
 using namespace pacga;
 
-/// Selection-only breeding: offspring = best parent of the neighborhood
-/// (crossover with p_comb = 1 between the two best neighbors, no mutation,
-/// no local search — identical parents clone, so once a region converges
-/// the champion propagates unchanged).
+/// Selection-only evolution on the engine itself: crossover with p_comb =
+/// 1 between the selected neighbors, no mutation, no local search —
+/// identical parents clone, so once a region converges the champion
+/// propagates unchanged. The observer records the takeover fraction after
+/// every generation and raises the cancel flag once it reaches 1, so the
+/// sync arm measures the engine's own synchronous model.
 double takeover_curve(const etc::EtcMatrix& m, cga::NeighborhoodShape shape,
                       cga::UpdatePolicy update, std::uint64_t seed,
                       std::size_t max_generations,
                       support::ConsoleTable& table, const char* label) {
-  support::Xoshiro256 rng(seed);
   cga::Config config;
   config.neighborhood = shape;
   config.update = update;
@@ -38,46 +40,34 @@ double takeover_curve(const etc::EtcMatrix& m, cga::NeighborhoodShape shape,
   config.local_search.iterations = 0;
   config.seed_min_min = true;  // the planted champion: Min-min is far
                                // better than random on every instance
-  cga::Grid grid(config.width, config.height);
-  cga::Population pop(m, grid, rng, config.seed_min_min, config.objective);
+  config.seed = seed;
+  config.termination = cga::Termination::after_generations(max_generations);
 
-  std::vector<std::size_t> neigh;
-  std::vector<double> fit;
-  std::vector<cga::Individual> staged;
+  // The diversity probe samples pairs from its own stream, so recording
+  // never perturbs the run.
+  support::Xoshiro256 probe_rng(seed);
+  std::atomic<bool> taken_over{false};
   std::size_t generations_to_takeover = max_generations;
-
-  for (std::size_t gen = 1; gen <= max_generations; ++gen) {
-    if (update == cga::UpdatePolicy::kAsynchronous) {
-      for (std::size_t idx = 0; idx < pop.size(); ++idx) {
-        auto child = cga::detail::breed(pop, idx, config, rng, neigh, fit);
-        if (child.fitness < pop.at(idx).fitness)
-          pop.at(idx) = std::move(child);
-      }
-    } else {
-      staged.clear();
-      for (std::size_t idx = 0; idx < pop.size(); ++idx) {
-        staged.push_back(
-            cga::detail::breed(pop, idx, config, rng, neigh, fit));
-      }
-      for (std::size_t idx = 0; idx < pop.size(); ++idx) {
-        if (staged[idx].fitness < pop.at(idx).fitness)
-          pop.at(idx) = std::move(staged[idx]);
-      }
-    }
-    const double p = cga::proportion_at_best(pop, 1e-9);
-    if (gen <= 4 || gen % 4 == 0 || p >= 1.0) {
-      table.add_row({label, std::to_string(gen),
-                     support::format_number(p, 4),
-                     support::format_number(
-                         cga::population_diversity_sampled(pop, 500, rng)
-                             .gene_entropy,
-                         4)});
-    }
-    if (p >= 1.0) {
-      generations_to_takeover = gen;
-      break;
-    }
-  }
+  cga::run_sequential(
+      m, config,
+      [&](const cga::GenerationEvent& e) {
+        const double p = cga::proportion_at_best(e.population, 1e-9);
+        if (e.generation <= 4 || e.generation % 4 == 0 || p >= 1.0) {
+          table.add_row(
+              {label, std::to_string(e.generation),
+               support::format_number(p, 4),
+               support::format_number(
+                   cga::population_diversity_sampled(e.population, 500,
+                                                     probe_rng)
+                       .gene_entropy,
+                   4)});
+        }
+        if (p >= 1.0) {
+          generations_to_takeover = e.generation;
+          taken_over.store(true, std::memory_order_relaxed);
+        }
+      },
+      &taken_over);
   return static_cast<double>(generations_to_takeover);
 }
 

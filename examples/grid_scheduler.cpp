@@ -25,7 +25,6 @@
 #include "heuristics/listsched.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
-#include "pacga/cellwise_engine.hpp"
 #include "pacga/parallel_engine.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -89,14 +88,15 @@ int run(int argc, char** argv) {
     c.termination = budget;
     schedule = cga::run_sequential(m, c).best;
   } else if (algo == "cellwise") {
-    // GPU-style cell-parallel model (paper future work): deterministic for
-    // any thread count.
+    // GPU-style cell-parallel model (paper future work): the synchronous
+    // update, deterministic for any thread count.
     cga::Config c;
+    c.update = cga::UpdatePolicy::kSynchronous;
     c.threads = threads;
     c.seed = seed;
     c.objective = objective;
     c.termination = budget;
-    schedule = par::run_cellwise(m, c).result.best;
+    schedule = par::run_parallel(m, c).result.best;
   } else if (algo == "island") {
     baseline::IslandConfig c;
     c.islands = threads;

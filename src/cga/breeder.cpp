@@ -1,6 +1,5 @@
 #include "cga/breeder.hpp"
 
-#include <algorithm>
 #include <shared_mutex>
 
 #include "cga/crossover.hpp"
@@ -8,14 +7,13 @@
 #include "cga/mutation.hpp"
 #include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
-#include "support/kernels.hpp"
 
 namespace pacga::cga {
 
 namespace detail {
 
-void vary(Individual& child, const sched::Schedule& parent_b,
-          const Config& config, support::Xoshiro256& rng) {
+void vary_and_evaluate(Individual& child, const sched::Schedule& parent_b,
+                       const Config& config, support::Xoshiro256& rng) {
   if (rng.bernoulli(config.p_comb)) {
     crossover_into(config.crossover, child.schedule, parent_b, rng);
   }
@@ -27,11 +25,6 @@ void vary(Individual& child, const sched::Schedule& parent_b,
     apply_local_search(config.ls_kind, child.schedule, config.local_search,
                        config.tabu, rng);
   }
-}
-
-void vary_and_evaluate(Individual& child, const sched::Schedule& parent_b,
-                       const Config& config, support::Xoshiro256& rng) {
-  vary(child, parent_b, config, rng);
   child.fitness =
       sched::evaluate(child.schedule, config.objective, config.lambda);
 }
@@ -48,13 +41,6 @@ Breeder::Breeder(const etc::EtcMatrix& etc, const Config& config)
 
 void Breeder::breed_into(const Population& pop, std::size_t cell,
                          support::Xoshiro256& rng, Individual& out) {
-  breed_into_deferred(pop, cell, rng, out);
-  out.fitness =
-      sched::evaluate(out.schedule, config_->objective, config_->lambda);
-}
-
-void Breeder::breed_into_deferred(const Population& pop, std::size_t cell,
-                                  support::Xoshiro256& rng, Individual& out) {
   const Config& config = *config_;
   neighborhood_of(pop.grid(), cell, config.neighborhood, neigh_);
   fit_.clear();
@@ -64,19 +50,12 @@ void Breeder::breed_into_deferred(const Population& pop, std::size_t cell,
   // Offspring starts as parent a (the "no recombination: clone the first
   // parent" default); crossover then overlays parent b's contribution.
   out.schedule.assign_from(pop.at(neigh_[pa_pos]).schedule);
-  detail::vary(out, pop.at(neigh_[pb_pos]).schedule, config, rng);
+  detail::vary_and_evaluate(out, pop.at(neigh_[pb_pos]).schedule, config,
+                            rng);
 }
 
 void Breeder::breed_locked_into(Population& pop, std::size_t cell,
                                 support::Xoshiro256& rng, Individual& out) {
-  breed_locked_into_deferred(pop, cell, rng, out);
-  out.fitness =
-      sched::evaluate(out.schedule, config_->objective, config_->lambda);
-}
-
-void Breeder::breed_locked_into_deferred(Population& pop, std::size_t cell,
-                                         support::Xoshiro256& rng,
-                                         Individual& out) {
   const Config& config = *config_;
   // --- selection: snapshot neighbor fitnesses under read locks.
   neighborhood_of(pop.grid(), cell, config.neighborhood, neigh_);
@@ -103,36 +82,7 @@ void Breeder::breed_locked_into_deferred(Population& pop, std::size_t cell,
   }
 
   // --- breed on private copies, outside all locks.
-  detail::vary(out, parent_b_.schedule, config, rng);
-}
-
-void Breeder::evaluate_batch(Individual* staged, std::size_t count) {
-  if (count == 0) return;
-  const Config& config = *config_;
-  if (config.objective != sched::Objective::kMakespan) {
-    // No batched kernel for the flowtime-based objectives; per-child
-    // evaluation (the documented allocating exceptions anyway).
-    for (std::size_t i = 0; i < count; ++i) {
-      staged[i].fitness =
-          sched::evaluate(staged[i].schedule, config.objective, config.lambda);
-    }
-    return;
-  }
-  // One dispatch for the whole block: each staged schedule's completion
-  // cache is already current (mutators maintain it), so the makespans are
-  // one row-max sweep away — bit-identical to Schedule::makespan per row.
-  batch_rows_.resize(count);
-  batch_fit_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    batch_rows_[i] = staged[i].schedule.completions().data();
-  }
-  support::kernels::batch_max(batch_rows_.data(), count,
-                              staged[0].schedule.machines(),
-                              batch_fit_.data());
-  for (std::size_t i = 0; i < count; ++i) {
-    // Same 0.0 clamp as Schedule::makespan — exact per-row agreement.
-    staged[i].fitness = std::max(0.0, batch_fit_[i]);
-  }
+  detail::vary_and_evaluate(out, parent_b_.schedule, config, rng);
 }
 
 }  // namespace pacga::cga

@@ -13,12 +13,6 @@
 //
 // One Breeder per thread: it is as thread-private as the RNG stream it is
 // used with.
-// The synchronous engines go one step further: offspring are bred with
-// evaluation DEFERRED (breed_*_into_deferred) and a whole sweep's staged
-// block is then evaluated through one batched kernel dispatch
-// (evaluate_batch) — same fitness values bit for bit, one indirect call
-// per sweep instead of one per child. Deferral is trajectory-neutral:
-// evaluation draws no RNG.
 #pragma once
 
 #include "cga/config.hpp"
@@ -34,10 +28,11 @@ class Breeder {
   Breeder(const etc::EtcMatrix& etc, const Config& config);
 
   /// One breeding step on cell `cell`, reading the population
-  /// UNSYNCHRONIZED (sequential and cellwise engines; commits must be
-  /// quiescent). Writes the evaluated offspring into `out`, which must not
-  /// alias a population cell and must belong to the same ETC instance
-  /// (any same-shape Individual; typically a preallocated buffer).
+  /// UNSYNCHRONIZED (the sequential engine and the synchronous core, whose
+  /// commits happen between barriers). Writes the evaluated offspring into
+  /// `out`, which must not alias a population cell and must belong to the
+  /// same ETC instance (any same-shape Individual; typically a
+  /// preallocated buffer).
   void breed_into(const Population& pop, std::size_t cell,
                   support::Xoshiro256& rng, Individual& out);
 
@@ -47,26 +42,6 @@ class Breeder {
   /// and evaluation run outside all locks.
   void breed_locked_into(Population& pop, std::size_t cell,
                          support::Xoshiro256& rng, Individual& out);
-
-  /// breed_into with the final evaluation DEFERRED: `out.fitness` is left
-  /// stale; the caller owes it an evaluate_batch (or sched::evaluate)
-  /// before the offspring competes. Identical RNG draw order to
-  /// breed_into — evaluation draws nothing — so deferral never changes a
-  /// trajectory.
-  void breed_into_deferred(const Population& pop, std::size_t cell,
-                           support::Xoshiro256& rng, Individual& out);
-
-  /// Deferred-evaluation form of breed_locked_into (same contract).
-  void breed_locked_into_deferred(Population& pop, std::size_t cell,
-                                  support::Xoshiro256& rng, Individual& out);
-
-  /// Evaluates `count` deferred offspring in one batched kernel dispatch
-  /// (kMakespan: a single kernels::batch_max sweep over the completion
-  /// rows; other objectives evaluate per child — the documented allocating
-  /// exceptions). Fitness values are bit-identical to per-child
-  /// evaluation. The first call at a new high-water `count` sizes the
-  /// row-pointer/output scratch (warm-up); steady state allocates nothing.
-  void evaluate_batch(Individual* staged, std::size_t count);
 
   /// Convenience forms returning the internal offspring buffer; the
   /// reference is valid until the next breed call.
@@ -95,21 +70,15 @@ class Breeder {
   Individual offspring_;  ///< internal offspring buffer
   std::vector<std::size_t> neigh_;
   std::vector<double> fit_;
-  std::vector<const double*> batch_rows_;  ///< completion-row pointers
-  std::vector<double> batch_fit_;          ///< batched makespans
 };
 
 namespace detail {
 
 /// Shared variation tail: `child` holds a copy of parent a on entry; the
 /// call applies recombination (against `parent_b`), mutation, and local
-/// search per `config`. `child.fitness` is NOT updated. The RNG draw order
-/// is identical to the historical engine loops, so refactored engines
-/// reproduce the same trajectories seed for seed.
-void vary(Individual& child, const sched::Schedule& parent_b,
-          const Config& config, support::Xoshiro256& rng);
-
-/// vary() plus the final evaluation into `child.fitness`.
+/// search per `config`, then evaluates into `child.fitness`. The RNG draw
+/// order is identical to the historical engine loops, so refactored
+/// engines reproduce the same trajectories seed for seed.
 void vary_and_evaluate(Individual& child, const sched::Schedule& parent_b,
                        const Config& config, support::Xoshiro256& rng);
 

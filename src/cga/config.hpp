@@ -85,7 +85,7 @@ struct Config {
   TabuHopParams tabu{10, 8};
   ReplacementPolicy replacement = ReplacementPolicy::kReplaceIfBetter;
   UpdatePolicy update = UpdatePolicy::kAsynchronous;
-  SweepPolicy sweep = SweepPolicy::kLineSweep;
+  SweepPolicy sweep = SweepPolicy::kLineSweep;  ///< ignored by kSynchronous
   bool seed_min_min = true;  ///< one Min-min individual in the initial pop
   sched::Objective objective = sched::Objective::kMakespan;
   /// Weight of makespan in kWeightedMakespanFlowtime (ignored otherwise);
@@ -103,7 +103,9 @@ struct Config {
   /// std::invalid_argument otherwise).
   std::vector<sched::MachineId> warm_seed;
   std::uint64_t seed = 1;
-  std::size_t threads = 3;  ///< used by the parallel engine only
+  /// Workers of par::run_parallel in either update mode (PA-CGA threads,
+  /// or the synchronous core's workers); cga::run_sequential ignores it.
+  std::size_t threads = 3;
   /// Record a TracePoint per generation (Figure 6 raw data). Off by
   /// default: sampling scans the whole population (taking read locks in
   /// the parallel engine), which would perturb contention measurements.

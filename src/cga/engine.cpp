@@ -1,8 +1,11 @@
 #include "cga/engine.hpp"
 
+#include <stdexcept>
+
 #include "cga/breeder.hpp"
 #include "cga/neighborhood.hpp"
 #include "cga/selection.hpp"
+#include "support/threading.hpp"
 
 namespace pacga::cga {
 
@@ -45,17 +48,31 @@ bool should_replace(ReplacementPolicy policy, double offspring,
 
 }  // namespace detail
 
+namespace {
+
+/// Deterministic stream for one (cell, generation) pair: which worker
+/// breeds the cell must not matter.
+support::Xoshiro256 cell_stream(std::uint64_t seed, std::size_t cell,
+                                std::uint64_t generation) {
+  support::SplitMix64 mix(seed ^ (cell * 0x9e3779b97f4a7c15ULL) ^
+                          (generation * 0xc2b2ae3d27d4eb4fULL));
+  return support::Xoshiro256(mix.next());
+}
+
+}  // namespace
+
 Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
                       const GenerationObserver& observer,
                       const std::atomic<bool>* cancel) {
+  if (config.update == UpdatePolicy::kSynchronous) {
+    return run_synchronous(etc, config, 1, observer, cancel);
+  }
   config.validate();
   support::Xoshiro256 rng(config.seed);
   Grid grid(config.width, config.height);
   Population pop(etc, grid, rng, config.seed_min_min, config.objective,
                  config.lambda);
   apply_warm_seed(pop, etc, config);
-  const std::size_t n = pop.size();
-  const bool synchronous = config.update == UpdatePolicy::kSynchronous;
 
   // The shared core. Everything below is preallocated once; the breeding
   // loop itself performs no heap allocation.
@@ -64,20 +81,8 @@ Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
   BestTracker best(pop.at(pop.best_index()));
   TraceRecorder trace(config.collect_trace);
   Breeder breeder(etc, config);
-  SweepOrderCache order(config.sweep, n, rng);
-
-  // Offspring buffers: one scratch for the asynchronous mode; one slot per
-  // cell for the synchronous auxiliary population (staged[k] belongs to
-  // order[k] of the current sweep).
+  SweepOrderCache order(config.sweep, pop.size(), rng);
   Individual scratch(sched::Schedule(etc), 0.0);
-  std::vector<Individual> staged;
-  if (synchronous) {
-    staged.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      staged.emplace_back(sched::Schedule(etc), 0.0);
-    }
-  }
-  std::size_t staged_count = 0;
 
   std::uint64_t evaluations = 0;
   std::uint64_t generations = 0;
@@ -86,40 +91,16 @@ Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
   run_sweep_loop(
       order, rng,
       [&](std::size_t idx) {  // one breeding step
-        if (synchronous) {
-          // Staged with evaluation deferred: the whole sweep's offspring
-          // get their fitness from one batched kernel dispatch at end of
-          // sweep (bit-identical to evaluating here).
-          breeder.breed_into_deferred(pop, idx, rng, staged[staged_count]);
-          ++staged_count;
-        } else {
-          breeder.breed_into(pop, idx, rng, scratch);
-          best.observe(scratch);
-          if (detail::should_replace(config.replacement, scratch.fitness,
-                                     pop.at(idx).fitness)) {
-            Breeder::replace(pop.at(idx), scratch);
-          }
+        breeder.breed_into(pop, idx, rng, scratch);
+        best.observe(scratch);
+        if (detail::should_replace(config.replacement, scratch.fitness,
+                                   pop.at(idx).fitness)) {
+          Breeder::replace(pop.at(idx), scratch);
         }
         ++evaluations;
         return termination.evaluations_exhausted(evaluations);
       },
       [&] {  // end of sweep
-        if (synchronous) {
-          breeder.evaluate_batch(staged.data(), staged_count);
-          for (std::size_t k = 0; k < staged_count; ++k) {
-            best.observe(staged[k]);
-          }
-          // Generational commit: every staged offspring competes with the
-          // cell it was bred for.
-          const auto& o = order.order();
-          for (std::size_t k = 0; k < staged_count; ++k) {
-            if (detail::should_replace(config.replacement, staged[k].fitness,
-                                       pop.at(o[k]).fitness)) {
-              Breeder::replace(pop.at(o[k]), staged[k]);
-            }
-          }
-          staged_count = 0;
-        }
         ++generations;
         trace.sample(generations, termination.elapsed_seconds(), pop);
         if (observer) {
@@ -139,6 +120,103 @@ Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
   result.generations = generations;
   result.elapsed_seconds = termination.elapsed_seconds();
   result.trace = trace.take();
+  return result;
+}
+
+Result run_synchronous(const etc::EtcMatrix& etc, const Config& config,
+                       std::size_t workers, const GenerationObserver& observer,
+                       const std::atomic<bool>* cancel,
+                       std::vector<ThreadStats>* stats) {
+  config.validate();
+  if (workers == 0 || workers > config.population_size()) {
+    throw std::invalid_argument(
+        "run_synchronous: workers must be in [1, population size]");
+  }
+  support::Xoshiro256 init_rng(config.seed);
+  Grid grid(config.width, config.height);
+  Population pop(etc, grid, init_rng, config.seed_min_min, config.objective,
+                 config.lambda);
+  apply_warm_seed(pop, etc, config);
+  const std::size_t n = pop.size();
+
+  TerminationController termination(config.termination);
+  termination.bind_stop_flag(cancel);
+  BestTracker best(pop.at(pop.best_index()));
+  TraceRecorder trace(config.collect_trace);
+  // The auxiliary population, preallocated once: staged[c] holds the
+  // offspring bred for cell c this generation.
+  std::vector<Individual> staged;
+  staged.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    staged.emplace_back(sched::Schedule(etc), 0.0);
+  }
+
+  std::vector<support::Padded<ThreadStats>> counts(workers);
+  // Written by worker 0 between the two barriers, read by every worker
+  // after them: the barriers order all accesses.
+  std::uint64_t generation = 0;
+  bool stop = false;
+  support::Barrier barrier(workers);
+  trace.sample(generation, termination.elapsed_seconds(), pop);
+
+  auto worker = [&](std::size_t w) {
+    if (config.pin_threads && workers > 1) support::pin_current_thread(w);
+    ThreadStats& mine = counts[w].value;
+    Breeder breeder(etc, config);
+    while (!stop) {
+      // Breed phase: the population is read-only until the barrier.
+      for (std::size_t cell = w; cell < n; cell += workers) {
+        support::Xoshiro256 rng = cell_stream(config.seed, cell, generation);
+        breeder.breed_into(pop, cell, rng, staged[cell]);
+        ++mine.evaluations;
+      }
+      barrier.arrive_and_wait();  // every offspring staged
+
+      if (w == 0) {
+        // Commit phase: serial and in cell order, so the result does not
+        // depend on the worker count.
+        for (std::size_t cell = 0; cell < n; ++cell) {
+          best.observe(staged[cell]);
+          if (detail::should_replace(config.replacement, staged[cell].fitness,
+                                     pop.at(cell).fitness)) {
+            Breeder::replace(pop.at(cell), staged[cell]);
+            ++counts[cell % workers].value.replacements;
+          }
+        }
+        ++generation;
+        const std::uint64_t evaluations = generation * n;
+        trace.sample(generation, termination.elapsed_seconds(), pop);
+        if (observer) {
+          observer({generation, evaluations, termination.elapsed_seconds(),
+                    best.fitness(), pop});
+        }
+        // One verdict for everyone, or the workers would disagree near the
+        // deadline and deadlock at the next barrier.
+        stop = termination.sweep_done(generation, evaluations);
+      }
+      barrier.arrive_and_wait();  // commit and verdict visible
+    }
+  };
+  if (workers == 1) {
+    worker(0);
+  } else {
+    support::ScopedThreads threads(workers, worker);
+  }
+
+  Individual winner = best.take();
+  Result result{std::move(winner.schedule)};
+  result.best_fitness = winner.fitness;
+  result.evaluations = generation * n;
+  result.generations = generation;
+  result.elapsed_seconds = termination.elapsed_seconds();
+  result.trace = trace.take();
+  if (stats) {
+    stats->clear();
+    for (auto& c : counts) {
+      c.value.generations = generation;
+      stats->push_back(c.value);
+    }
+  }
   return result;
 }
 

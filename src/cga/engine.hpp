@@ -1,13 +1,21 @@
-// Sequential cellular GA engine — the canonical algorithm of paper §3.1.
-// Supports both update policies (asynchronous = paper Algorithm 1;
-// synchronous = auxiliary-population variant) and every sweep policy.
-// PA-CGA with one thread is exactly this engine with kLineSweep/async.
+// The cellular GA engines of paper §3.1, on one thread or many.
 //
-// The loop body is assembled from the shared core (cga/loop.hpp +
-// cga/breeder.hpp): the same components drive the parallel engines, so a
-// steady-state breeding step allocates nothing and every engine exposes
-// the same per-generation observer hook.
+// run_sequential is the canonical asynchronous CGA (paper Algorithm 1;
+// PA-CGA with one thread is exactly this engine with kLineSweep/async).
+// run_synchronous is the ONE implementation of the synchronous
+// (generational) update the paper contrasts against: run_sequential runs
+// it with one inline worker and par::run_parallel with `config.threads`
+// workers, so a synchronous result is the same gene for gene from either
+// entry point and for any worker count.
+//
+// The loop bodies are assembled from the shared core (cga/loop.hpp +
+// cga/breeder.hpp): a steady-state breeding step allocates nothing and
+// every engine exposes the same per-generation observer hook.
 #pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <vector>
 
 #include "cga/config.hpp"
 #include "cga/loop.hpp"
@@ -16,16 +24,47 @@
 
 namespace pacga::cga {
 
+/// Per-worker counters, exposed because the paper's speedup metric is
+/// "total evaluations across threads in a fixed wall budget" (eq. 5).
+struct ThreadStats {
+  std::uint64_t evaluations = 0;
+  std::uint64_t generations = 0;  ///< full sweeps of the worker's share
+  std::uint64_t replacements = 0; ///< offspring that entered the population
+};
+
 /// Runs the sequential CGA on `etc` per `config`. Deterministic: same seed,
-/// same result. `config.threads` is ignored here. `observer` (optional) is
-/// called after every committed generation from a quiescent point —
-/// checkpointing and streaming stats hook in there. `cancel` (optional) is
-/// an external stop flag polled once per generation; raising it ends the
-/// run early with the best-so-far result (the service's job-cancellation
-/// path).
+/// same result. `config.threads` is ignored here; `config.update ==
+/// kSynchronous` runs run_synchronous with one worker on the calling
+/// thread. `observer` (optional) is called after every committed
+/// generation from a quiescent point — checkpointing and streaming stats
+/// hook in there. `cancel` (optional) is an external stop flag polled once
+/// per generation; raising it ends the run early with the best-so-far
+/// result (the service's job-cancellation path).
 Result run_sequential(const etc::EtcMatrix& etc, const Config& config,
                       const GenerationObserver& observer = {},
                       const std::atomic<bool>* cancel = nullptr);
+
+/// The synchronous update on `workers` workers (cell-parallel; the paper's
+/// one-thread-per-cell future work, simulated on CPU). Each generation,
+/// worker w breeds cells w, w+workers, ... from the frozen population
+/// without locks, drawing from one RNG stream per (cell, generation) pair,
+/// and stages the offspring; between two barriers worker 0 commits the
+/// whole generation in cell order, records the trace, calls `observer`
+/// (population quiescent) and takes the termination verdict for everyone.
+/// Hence the result does not depend on `workers`, and the best is the
+/// first minimum in (generation, cell) order. `config.sweep` and
+/// `config.threads` are ignored; budgets and `cancel` are checked once per
+/// generation, so the evaluation budget stops at a generation boundary.
+/// One worker runs inline on the calling thread; more are spawned (and
+/// pinned when `config.pin_threads`). Throws std::invalid_argument unless
+/// 1 <= `workers` <= the population size. `stats` (optional) receives one
+/// entry per worker: its evaluations, the replacements of its cells, and
+/// the shared generation count.
+Result run_synchronous(const etc::EtcMatrix& etc, const Config& config,
+                       std::size_t workers,
+                       const GenerationObserver& observer = {},
+                       const std::atomic<bool>* cancel = nullptr,
+                       std::vector<ThreadStats>* stats = nullptr);
 
 namespace detail {
 

@@ -1,6 +1,6 @@
 // The shared engine-loop core. Every evolution loop in the library
-// (cga::run_sequential, par::run_cellwise, par::run_parallel sync+async,
-// and the GA baselines) is assembled from these pieces instead of
+// (cga::run_sequential, cga::run_synchronous, par::run_parallel, and the
+// GA baselines) is assembled from these pieces instead of
 // re-implementing sweep ordering, best tracking, termination, and tracing:
 //
 //   * SweepOrderCache       — the visiting order, regenerated in place
@@ -14,9 +14,9 @@
 //   * GenerationObserver    — user hook after every committed generation
 //                             (checkpointing, streaming stats, early UI).
 //
-// The run_sweep_loop driver owns the loop skeleton; engines supply two
-// lambdas (per-cell step, end-of-sweep commit) that close over their own
-// synchronization discipline.
+// The run_sweep_loop driver owns the asynchronous loop skeleton; engines
+// supply two lambdas (per-cell step, end-of-sweep commit) that close over
+// their own synchronization discipline.
 #pragma once
 
 #include <atomic>
@@ -200,16 +200,17 @@ std::size_t apply_warm_seed(Population& pop, const etc::EtcMatrix& etc,
 /// Snapshot handed to the per-generation observer. The population reference
 /// is live: in the asynchronous parallel engine other threads keep evolving
 /// it, so observers there must take the per-cell locks themselves (the
-/// sequential, cellwise, and synchronous engines call the observer from a
+/// sequential engine and the synchronous core call the observer from a
 /// quiescent point).
 struct GenerationEvent {
   std::uint64_t generation = 0;     ///< committed sweeps of the caller
   std::uint64_t evaluations = 0;    ///< engine-wide evaluations so far
   double elapsed_seconds = 0.0;
   /// Best-ever fitness KNOWN TO THE REPORTING WORKER. Engine-wide in the
-  /// sequential and cellwise engines; in run_parallel the reporter is
-  /// thread 0, so another thread's better find surfaces here only after
-  /// it enters the population and thread 0 observes it.
+  /// sequential engine and the synchronous core; in the asynchronous
+  /// run_parallel the reporter is thread 0, so another thread's better
+  /// find surfaces here only after it enters the population and thread 0
+  /// observes it.
   double best_fitness = 0.0;
   const Population& population;
 };

@@ -30,7 +30,6 @@
 #include "heuristics/listsched.hpp"
 #include "heuristics/minmin.hpp"
 #include "heuristics/sufferage.hpp"
-#include "pacga/cellwise_engine.hpp"
 #include "pacga/parallel_engine.hpp"
 #include "sched/fitness.hpp"
 #include "sched/schedule.hpp"

@@ -6,11 +6,6 @@
 #include <optional>
 #include <shared_mutex>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "cga/breeder.hpp"
 #include "cga/engine.hpp"
 #include "cga/loop.hpp"
@@ -26,22 +21,10 @@ std::uint64_t ParallelResult::total_evaluations() const noexcept {
   return total;
 }
 
-bool pin_current_thread(std::size_t core) noexcept {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
-}
-
 namespace {
 
 /// Everything a worker needs; shared state is either immutable, atomic, or
-/// touched only by thread 0 between barriers.
+/// touched only by thread 0.
 struct Shared {
   const etc::EtcMatrix& etc;
   const cga::Config& config;
@@ -55,9 +38,6 @@ struct Shared {
   std::atomic<std::uint64_t>& global_evaluations;
   const cga::TerminationController& termination;
   const cga::GenerationObserver& observer;  ///< thread 0 only
-  // Synchronous mode only:
-  support::Barrier* barrier = nullptr;
-  std::atomic<bool>* stop_flag = nullptr;
 };
 
 /// Asynchronous worker — the paper's Algorithm 3: immediate replacement
@@ -114,94 +94,18 @@ void worker_async(Shared& sh, std::size_t tid) {
   sh.thread_best[tid] = best.take();
 }
 
-/// Synchronous worker — generational variant: stage the block's offspring
-/// in a preallocated auxiliary block, barrier, commit, barrier, collective
-/// termination decision by thread 0.
-void worker_sync(Shared& sh, std::size_t tid) {
-  const cga::Config& config = sh.config;
-  support::Xoshiro256& rng = sh.rngs[tid + 1];
-  const cga::Block block = sh.blocks[tid];
-  ThreadStats& st = sh.stats[tid].value;
-  cga::Breeder breeder(sh.etc, config);
-  cga::BestTracker best(sh.initial_best);
-
-  support::Xoshiro256 order_rng(config.seed ^ (0xb10c0000 + tid));
-  cga::SweepOrderCache order(config.sweep, block.size(), order_rng);
-  std::vector<cga::Individual> staged;
-  staged.reserve(block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    staged.emplace_back(sched::Schedule(sh.etc), 0.0);
-  }
-  std::size_t staged_count = 0;
-
-  cga::run_sweep_loop(
-      order, order_rng,
-      [&](std::size_t pos) {  // stage one offspring (evaluation deferred)
-        const std::size_t idx = block.begin + pos;
-        breeder.breed_locked_into_deferred(sh.pop, idx, rng,
-                                           staged[staged_count++]);
-        ++st.evaluations;
-        return false;
-      },
-      [&] {  // generational commit + collective verdict
-        // One batched kernel dispatch evaluates the whole staged block —
-        // before the barrier, on purely thread-private storage, so the
-        // batch runs in the parallel phase, not the commit phase.
-        breeder.evaluate_batch(staged.data(), staged_count);
-        for (std::size_t k = 0; k < staged_count; ++k) {
-          best.observe(staged[k]);
-        }
-        sh.barrier->arrive_and_wait();  // everyone finished breeding
-
-        // Commit this thread's own block; only this thread writes these
-        // cells, but readers elsewhere are quiet (all threads are
-        // committing), so the write locks are cheap and uncontended.
-        const auto& o = order.order();
-        for (std::size_t k = 0; k < staged_count; ++k) {
-          const std::size_t idx = block.begin + o[k];
-          std::unique_lock lock(sh.pop.lock(idx));
-          if (cga::detail::should_replace(config.replacement,
-                                          staged[k].fitness,
-                                          sh.pop.at(idx).fitness)) {
-            cga::Breeder::replace(sh.pop.at(idx), staged[k]);
-            ++st.replacements;
-          }
-        }
-        staged_count = 0;
-        ++st.generations;
-        sh.global_evaluations.fetch_add(block.size(),
-                                        std::memory_order_relaxed);
-        sh.barrier->arrive_and_wait();  // commits visible everywhere
-
-        if (tid == 0) {
-          sh.trace.sample_locked(st.generations,
-                                 sh.termination.elapsed_seconds(), sh.pop);
-          const std::uint64_t evals_now =
-              sh.global_evaluations.load(std::memory_order_relaxed);
-          if (sh.observer) {
-            sh.observer({st.generations, evals_now,
-                         sh.termination.elapsed_seconds(), best.fitness(),
-                         sh.pop});
-          }
-          // Collective decision: a single verdict for the whole
-          // generation, or the threads would disagree near the deadline
-          // and deadlock at the next barrier.
-          sh.stop_flag->store(
-              sh.termination.sweep_done(st.generations, evals_now),
-              std::memory_order_release);
-        }
-        sh.barrier->arrive_and_wait();  // decision published
-        return sh.stop_flag->load(std::memory_order_acquire);
-      });
-  sh.thread_best[tid] = best.take();
-}
-
 }  // namespace
 
 ParallelResult run_parallel(const etc::EtcMatrix& etc,
                             const cga::Config& config,
                             const cga::GenerationObserver& observer,
                             const std::atomic<bool>* cancel) {
+  if (config.update == cga::UpdatePolicy::kSynchronous) {
+    std::vector<ThreadStats> threads;
+    cga::Result result = cga::run_synchronous(etc, config, config.threads,
+                                              observer, cancel, &threads);
+    return {std::move(result), std::move(threads)};
+  }
   config.validate();
   const std::size_t n_threads = config.threads;
 
@@ -229,23 +133,16 @@ ParallelResult run_parallel(const etc::EtcMatrix& etc,
   termination.bind_stop_flag(cancel);
   cga::TraceRecorder trace(config.collect_trace);
   std::atomic<std::uint64_t> global_evaluations{0};
-  std::atomic<bool> stop_flag{false};
-  support::Barrier barrier(n_threads);
 
-  Shared shared{etc,          config,   pop,
-                blocks,       rngs,     stats,
-                thread_best,  initial_best, trace,
-                global_evaluations,     termination,
-                observer,     &barrier, &stop_flag};
+  Shared shared{etc,          config, pop,   blocks,
+                rngs,         stats,  thread_best,
+                initial_best, trace,  global_evaluations,
+                termination,  observer};
 
   {
     support::ScopedThreads threads(n_threads, [&](std::size_t tid) {
-      if (config.pin_threads) pin_current_thread(tid);
-      if (config.update == cga::UpdatePolicy::kSynchronous) {
-        worker_sync(shared, tid);
-      } else {
-        worker_async(shared, tid);
-      }
+      if (config.pin_threads) support::pin_current_thread(tid);
+      worker_async(shared, tid);
     });
   }  // join
 

@@ -13,24 +13,23 @@
 // private copies outside any lock — exactly the property the paper exploits
 // to scale: more local-search iterations means a larger unsynchronized
 // fraction (Figure 4).
+//
+// The synchronous update is not implemented here: run_parallel hands it to
+// cga::run_synchronous, the one cell-parallel core it shares with
+// cga::run_sequential.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cga/config.hpp"
+#include "cga/engine.hpp"
 #include "cga/loop.hpp"
 #include "etc/etc_matrix.hpp"
 
 namespace pacga::par {
 
-/// Per-thread counters, exposed because the paper's speedup metric is
-/// "total evaluations across threads in a fixed wall budget" (eq. 5).
-struct ThreadStats {
-  std::uint64_t evaluations = 0;
-  std::uint64_t generations = 0;  ///< full sweeps of the thread's block
-  std::uint64_t replacements = 0; ///< offspring that entered the population
-};
+using cga::ThreadStats;
 
 /// Result of a PA-CGA run plus per-thread accounting.
 struct ParallelResult {
@@ -54,35 +53,26 @@ struct ParallelResult {
 /// is never worse than the seed by construction — the service's dynamic
 /// rescheduling path relies on this instead of clamping after the fact.
 ///
-/// The synchronous mode evaluates each thread's staged offspring block
-/// through one batched kernel dispatch per sweep (Breeder::evaluate_batch)
-/// rather than one per child; fitness values are bit-identical, so sync
-/// trajectories are unchanged.
-///
 /// With `config.threads == 1` this is the canonical asynchronous CGA of
 /// §3.1 (same algorithm as cga::run_sequential, modulo lock overhead).
 ///
 /// `config.update == kSynchronous` selects the generational variant the
-/// paper contrasts against (§3.1): threads stage their block's offspring,
-/// meet at a barrier, commit the whole generation at once, and take the
-/// termination decision collectively (thread 0 decides, everyone honors
-/// it — a consensus is required or threads would deadlock at the barrier).
+/// paper contrasts against (§3.1): cga::run_synchronous with
+/// `config.threads` workers, so the result is the same gene for gene as
+/// cga::run_sequential's for any thread count, and `config.sweep` is
+/// ignored. Every ThreadStats entry then carries the shared generation
+/// count.
 /// `observer` (optional) runs on thread 0 after each of ITS block sweeps.
 /// In the asynchronous mode the population is live — observers must take
 /// the per-cell locks for anything they read from it; in the synchronous
 /// mode it runs between barriers (quiescent).
 /// `cancel` (optional) is an external stop flag every thread polls at its
 /// per-block-sweep termination check; raising it ends the run within one
-/// block sweep per thread (the service's job-cancellation path).
+/// block sweep per thread (one generation in the synchronous mode; the
+/// service's job-cancellation path).
 ParallelResult run_parallel(const etc::EtcMatrix& etc,
                             const cga::Config& config,
                             const cga::GenerationObserver& observer = {},
                             const std::atomic<bool>* cancel = nullptr);
-
-/// Pins the calling thread to `core` (Linux). Returns false when pinning
-/// is unsupported or fails; the engine treats that as a soft error. The
-/// paper runs all threads on one 4-core processor — `config.pin_threads`
-/// reproduces that placement so the shared-L2 effects (§4.2) are visible.
-bool pin_current_thread(std::size_t core) noexcept;
 
 }  // namespace pacga::par

@@ -1,5 +1,10 @@
 #include "support/threading.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace pacga::support {
 
 ScopedThreads::ScopedThreads(std::size_t n,
@@ -34,6 +39,18 @@ void Barrier::arrive_and_wait() {
     generation_.wait(cur, std::memory_order_acquire);
     cur = generation_.load(std::memory_order_acquire);
   }
+}
+
+bool pin_current_thread(std::size_t core) noexcept {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(core % CPU_SETSIZE, &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+#else
+  (void)core;
+  return false;
+#endif
 }
 
 std::size_t clamp_threads(std::size_t requested) noexcept {

@@ -69,6 +69,12 @@ class Barrier {
   std::atomic<std::size_t> generation_{0};
 };
 
+/// Pins the calling thread to `core` (Linux). Returns false when pinning
+/// is unsupported or fails; the engines treat that as a soft error. The
+/// paper runs all threads on one 4-core processor — `Config::pin_threads`
+/// reproduces that placement so the shared-L2 effects (§4.2) are visible.
+bool pin_current_thread(std::size_t core) noexcept;
+
 /// Returns min(requested, hardware_concurrency), at least 1. Used by the
 /// harness so bench binaries degrade gracefully on small machines.
 std::size_t clamp_threads(std::size_t requested) noexcept;

@@ -177,89 +177,23 @@ TEST(Breeder, SteadyStateBreedingStepAllocatesNothing) {
       << "steady-state breeding steps must not touch the heap";
 }
 
-TEST(Breeder, BatchedEvaluationMatchesOneAtATimeGeneForGene) {
-  // The sync engines defer evaluation (breed_*_deferred) and evaluate a
-  // whole staged block through one kernel sweep (evaluate_batch). From
-  // identical RNG streams the deferred+batched path must reproduce the
-  // one-at-a-time path bit for bit: same genes (evaluation draws no RNG,
-  // so the trajectories cannot diverge) and bit-identical fitness.
-  const auto m = instance();
-  const Config config = small_config();
-  support::Xoshiro256 init(21);
-  Grid grid(config.width, config.height);
-  Population pop(m, grid, init, true, config.objective);
-
-  Breeder one_at_a_time(m, config);
-  Breeder batched(m, config);
-  const std::size_t n = pop.size();
-  std::vector<Individual> single;
-  std::vector<Individual> staged;
-  for (std::size_t i = 0; i < n; ++i) {
-    single.emplace_back(sched::Schedule(m), 0.0);
-    staged.emplace_back(sched::Schedule(m), 0.0);
-  }
-  for (std::size_t cell = 0; cell < n; ++cell) {
-    support::Xoshiro256 r1(500 + cell), r2(500 + cell);
-    one_at_a_time.breed_into(pop, cell, r1, single[cell]);
-    batched.breed_into_deferred(pop, cell, r2, staged[cell]);
-    EXPECT_EQ(r1(), r2()) << "RNG streams diverged at cell " << cell;
-  }
-  batched.evaluate_batch(staged.data(), n);
-  for (std::size_t cell = 0; cell < n; ++cell) {
-    EXPECT_EQ(staged[cell].schedule, single[cell].schedule)
-        << "cell " << cell;
-    EXPECT_DOUBLE_EQ(staged[cell].fitness, single[cell].fitness)
-        << "cell " << cell;
-  }
-
-  // The locked deferred form matches too (single-threaded: same state).
-  for (std::size_t cell : {0u, 9u, 31u, 63u}) {
-    support::Xoshiro256 r1(500 + cell), r2(500 + cell);
-    one_at_a_time.breed_into(pop, cell, r1, single[cell]);
-    batched.breed_locked_into_deferred(pop, cell, r2, staged[cell]);
-  }
-  batched.evaluate_batch(staged.data(), 1);
-  EXPECT_EQ(staged[0].schedule, single[0].schedule);
-  EXPECT_DOUBLE_EQ(staged[0].fitness, single[0].fitness);
-}
-
-TEST(Breeder, BatchedEvaluationAllocatesNothingAfterWarmup) {
-  // The batched path extends the zero-allocation invariant: after one
-  // warm-up sweep (which sizes the batch scratch), a full stage + batch
-  // evaluate + commit generation performs zero heap allocations.
+TEST(Breeder, SynchronousGenerationsAllocateNothing) {
+  // The synchronous core preallocates its auxiliary population and draws
+  // each (cell, generation) stream on the stack, so a run's allocation
+  // count is the same however many generations it commits.
   const auto m = instance();
   Config config = small_config();
   config.local_search.iterations = 10;  // paper configuration
-  support::Xoshiro256 init(22);
-  Grid grid(config.width, config.height);
-  Population pop(m, grid, init, true, config.objective);
-
-  Breeder breeder(m, config);
-  const std::size_t n = pop.size();
-  std::vector<Individual> staged;
-  for (std::size_t i = 0; i < n; ++i) {
-    staged.emplace_back(sched::Schedule(m), 0.0);
-  }
-  support::Xoshiro256 rng(23);
-
-  auto generation = [&] {
-    for (std::size_t cell = 0; cell < n; ++cell) {
-      breeder.breed_locked_into_deferred(pop, cell, rng, staged[cell]);
-    }
-    breeder.evaluate_batch(staged.data(), n);
-    for (std::size_t cell = 0; cell < n; ++cell) {
-      if (detail::should_replace(config.replacement, staged[cell].fitness,
-                                 pop.at(cell).fitness)) {
-        Breeder::replace(pop.at(cell), staged[cell]);
-      }
-    }
+  config.update = UpdatePolicy::kSynchronous;
+  auto allocations = [&](std::uint64_t generations) {
+    config.termination = Termination::after_generations(generations);
+    const std::uint64_t before = alloc_counter::count();
+    (void)run_sequential(m, config);
+    return alloc_counter::count() - before;
   };
-
-  generation();  // warm-up: sizes every scratch buffer incl. the batch
-  const std::uint64_t before = alloc_counter::count();
-  for (int i = 0; i < 4; ++i) generation();
-  EXPECT_EQ(alloc_counter::count(), before)
-      << "staged generation with batched evaluation must not touch the heap";
+  allocations(2);  // warm-up: sizes the thread-local operator scratch
+  EXPECT_EQ(allocations(2), allocations(8))
+      << "synchronous generations must not touch the heap";
 }
 
 TEST(Flowtime, AllocationFreeAfterWarmup) {

@@ -1,12 +1,15 @@
 // Engine-equivalence golden tests for the shared Breeder/loop core.
 //
-// The refactor's contract: rebasing the four evolution loops on the shared
+// The refactor's contract: rebasing the evolution loops on the shared
 // core changed ZERO observable behavior. These tests pin that contract —
-//  * run_sequential (async and sync) reproduces a hand-rolled reference
+//  * the asynchronous run_sequential reproduces a hand-rolled reference
 //    loop written the way the engines were before the refactor (legacy
 //    detail::breed + manual bookkeeping), gene for gene;
-//  * the three engines are individually deterministic on a fixed seed and
-//    cellwise is worker-count independent;
+//  * the synchronous update — run_sequential and run_parallel at any
+//    thread count — reproduces one hand-rolled generational reference
+//    loop gene for gene, seeded and unseeded;
+//  * the asynchronous engines are individually deterministic on a fixed
+//    seed;
 //  * Config::lambda reaches the evaluation (weighted objective with
 //    lambda = 1 is numerically the makespan objective, so the whole
 //    trajectory must match);
@@ -18,13 +21,14 @@
 //    gene.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cga/engine.hpp"
 #include "etc/suite.hpp"
 #include "heuristics/minmin.hpp"
-#include "pacga/cellwise_engine.hpp"
 #include "pacga/parallel_engine.hpp"
 #include "sched/schedule.hpp"
 #include "support/timer.hpp"
@@ -50,8 +54,9 @@ cga::Config fast_config() {
   return c;
 }
 
-/// The sequential loop exactly as it was written before the shared core:
-/// fresh allocations per step, manual best/termination/trace bookkeeping.
+/// The asynchronous sequential loop exactly as it was written before the
+/// shared core: fresh allocations per step, manual best/termination/trace
+/// bookkeeping.
 cga::Result reference_sequential(const etc::EtcMatrix& etc,
                                  const cga::Config& config) {
   config.validate();
@@ -77,7 +82,6 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
   std::vector<double> fit;
   std::vector<std::size_t> order =
       cga::detail::make_sweep_order(config.sweep, n, rng);
-  std::vector<cga::Individual> staged;
 
   std::uint64_t evaluations = 0;
   std::uint64_t generations = 0;
@@ -88,34 +92,19 @@ cga::Result reference_sequential(const etc::EtcMatrix& etc,
         config.sweep == cga::SweepPolicy::kUniformChoice) {
       order = cga::detail::make_sweep_order(config.sweep, n, rng);
     }
-    if (config.update == cga::UpdatePolicy::kSynchronous) staged.clear();
 
     for (std::size_t idx : order) {
       cga::Individual offspring =
           cga::detail::breed(pop, idx, config, rng, neigh, fit);
       ++evaluations;
       if (offspring.fitness < best.fitness) best = offspring;
-      if (config.update == cga::UpdatePolicy::kAsynchronous) {
-        if (cga::detail::should_replace(config.replacement, offspring.fitness,
-                                        pop.at(idx).fitness)) {
-          pop.at(idx) = std::move(offspring);
-        }
-      } else {
-        staged.push_back(std::move(offspring));
+      if (cga::detail::should_replace(config.replacement, offspring.fitness,
+                                      pop.at(idx).fitness)) {
+        pop.at(idx) = std::move(offspring);
       }
       if (evaluations >= config.termination.max_evaluations) {
         stop = true;
         break;
-      }
-    }
-
-    if (config.update == cga::UpdatePolicy::kSynchronous) {
-      for (std::size_t k = 0; k < staged.size(); ++k) {
-        const std::size_t idx = order[k];
-        if (cga::detail::should_replace(config.replacement, staged[k].fitness,
-                                        pop.at(idx).fitness)) {
-          pop.at(idx) = std::move(staged[k]);
-        }
       }
     }
 
@@ -175,12 +164,150 @@ TEST_P(UpdatePolicyEquivalence, SeededRunMatchesLegacyLoopGeneForGene) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, UpdatePolicyEquivalence,
-                         ::testing::Values(cga::UpdatePolicy::kAsynchronous,
-                                           cga::UpdatePolicy::kSynchronous),
+// The synchronous update has its own reference (SynchronousEngine below).
+INSTANTIATE_TEST_SUITE_P(Async, UpdatePolicyEquivalence,
+                         ::testing::Values(cga::UpdatePolicy::kAsynchronous),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+/// The synchronous update written out by hand: every cell breeds from the
+/// frozen population with its own (cell, generation) stream, then the
+/// generation commits in cell order; the best is the first minimum in
+/// (generation, cell) order, and budgets are checked once per generation.
+/// No worker count appears: the engine must match this loop for all.
+cga::Result reference_synchronous(const etc::EtcMatrix& etc,
+                                  const cga::Config& config) {
+  support::Xoshiro256 init(config.seed);
+  cga::Grid grid(config.width, config.height);
+  cga::Population pop(etc, grid, init, config.seed_min_min, config.objective,
+                      config.lambda);
+  const std::size_t n = pop.size();
+  if (!config.warm_seed.empty()) {
+    const std::size_t cell = config.seed_min_min && n > 1 ? 1 : 0;
+    pop.seed_cell(cell, etc, config.warm_seed, config.objective,
+                  config.lambda);
+  }
+  cga::Individual best = pop.at(pop.best_index());
+  const support::Deadline deadline(config.termination.wall_seconds);
+
+  std::vector<std::size_t> neigh;
+  std::vector<double> fit;
+  std::vector<cga::Individual> staged;
+  std::uint64_t evaluations = 0;
+  std::uint64_t generations = 0;
+  bool stop = false;
+  while (!stop) {
+    staged.clear();
+    for (std::size_t cell = 0; cell < n; ++cell) {
+      support::SplitMix64 mix(config.seed ^
+                              (cell * 0x9e3779b97f4a7c15ULL) ^
+                              (generations * 0xc2b2ae3d27d4eb4fULL));
+      support::Xoshiro256 rng(mix.next());
+      staged.push_back(cga::detail::breed(pop, cell, config, rng, neigh, fit));
+    }
+    for (std::size_t cell = 0; cell < n; ++cell) {
+      if (staged[cell].fitness < best.fitness) best = staged[cell];
+      if (cga::detail::should_replace(config.replacement,
+                                      staged[cell].fitness,
+                                      pop.at(cell).fitness)) {
+        pop.at(cell) = std::move(staged[cell]);
+      }
+    }
+    evaluations += n;
+    ++generations;
+    stop = deadline.expired() ||
+           generations >= config.termination.max_generations ||
+           evaluations >= config.termination.max_evaluations;
+  }
+
+  cga::Result result{std::move(best.schedule)};
+  result.best_fitness = best.fitness;
+  result.evaluations = evaluations;
+  result.generations = generations;
+  return result;
+}
+
+void expect_same_run(const cga::Result& engine, const cga::Result& reference,
+                     const std::string& where) {
+  EXPECT_DOUBLE_EQ(engine.best_fitness, reference.best_fitness) << where;
+  EXPECT_EQ(engine.best.hamming_distance(reference.best), 0u) << where;
+  EXPECT_EQ(engine.evaluations, reference.evaluations) << where;
+  EXPECT_EQ(engine.generations, reference.generations) << where;
+}
+
+TEST(SynchronousEngine, BothEntryPointsMatchReferenceForAnyThreadCount) {
+  // One synchronous model: run_sequential (one inline worker) and
+  // run_parallel (config.threads workers) reproduce the hand-rolled
+  // generational loop gene for gene, seeded and unseeded.
+  const auto m = instance();
+  support::Xoshiro256 seed_rng(77);
+  const auto warm = sched::Schedule::random(m, seed_rng);
+  for (bool seeded : {false, true}) {
+    for (std::uint64_t seed : {1ull, 17ull, 131ull}) {
+      cga::Config c = fast_config();
+      c.update = cga::UpdatePolicy::kSynchronous;
+      c.seed = seed;
+      if (seeded) {
+        c.warm_seed.assign(warm.assignment().begin(),
+                           warm.assignment().end());
+      }
+      const std::string run = "seed " + std::to_string(seed) +
+                              (seeded ? " seeded" : " unseeded");
+      const auto reference = reference_synchronous(m, c);
+      expect_same_run(cga::run_sequential(m, c), reference,
+                      run + " run_sequential");
+      for (std::size_t threads : {1, 2, 3, 4, 8}) {
+        c.threads = threads;
+        expect_same_run(par::run_parallel(m, c).result, reference,
+                        run + " run_parallel threads " +
+                            std::to_string(threads));
+      }
+      if (seeded) {
+        EXPECT_LE(reference.best_fitness, warm.makespan()) << run;
+      }
+    }
+  }
+}
+
+TEST(SynchronousEngine, CancelEndsTheRunFromBothEntryPoints) {
+  // The observer raises the flag after generation 3; worker 0 polls it at
+  // that generation's verdict, so both entry points stop right there.
+  const auto m = instance();
+  cga::Config c = fast_config();
+  c.update = cga::UpdatePolicy::kSynchronous;
+  c.termination = cga::Termination::after_generations(100);
+  c.threads = 3;
+  auto cancel_at_3 = [](std::atomic<bool>& flag) {
+    return [&flag](const cga::GenerationEvent& e) {
+      if (e.generation == 3) flag.store(true);
+    };
+  };
+  std::atomic<bool> seq_flag{false};
+  const auto seq = cga::run_sequential(m, c, cancel_at_3(seq_flag), &seq_flag);
+  EXPECT_EQ(seq.generations, 3u);
+  EXPECT_EQ(seq.evaluations, 3u * 64u);
+
+  std::atomic<bool> par_flag{false};
+  const auto parallel =
+      par::run_parallel(m, c, cancel_at_3(par_flag), &par_flag);
+  EXPECT_EQ(parallel.result.generations, 3u);
+  for (const auto& t : parallel.threads) EXPECT_EQ(t.generations, 3u);
+  expect_same_run(parallel.result, seq, "cancelled run_parallel");
+
+  // A flag raised before the run still lets the first generation commit.
+  std::atomic<bool> raised{true};
+  EXPECT_EQ(cga::run_sequential(m, c, {}, &raised).generations, 1u);
+  EXPECT_EQ(par::run_parallel(m, c, {}, &raised).result.generations, 1u);
+}
+
+TEST(SynchronousEngine, RejectsWorkerCountOutsidePopulation) {
+  const auto m = instance();
+  cga::Config c = fast_config();  // 64 cells
+  EXPECT_THROW(cga::run_synchronous(m, c, 0), std::invalid_argument);
+  EXPECT_THROW(cga::run_synchronous(m, c, 65), std::invalid_argument);
+  EXPECT_EQ(cga::run_synchronous(m, c, 64).generations, 8u);
+}
 
 TEST(EngineEquivalence, SweepPoliciesMatchLegacyLoop) {
   const auto m = instance();
@@ -211,10 +338,10 @@ TEST(EngineEquivalence, MidSweepEvaluationBudgetMatchesLegacyLoop) {
   EXPECT_DOUBLE_EQ(refactored.best_fitness, legacy.best_fitness);
 }
 
-TEST(EngineEquivalence, ThreeEnginesPinnedOnFixedSeed) {
-  // Each engine is deterministic on a fixed seed: run twice, compare
-  // everything. (The engines use different RNG stream layouts by design,
-  // so they are pinned individually, not against each other.)
+TEST(EngineEquivalence, AsyncEnginesPinnedOnFixedSeed) {
+  // Each asynchronous engine is deterministic on a fixed seed: run twice,
+  // compare everything. (The engines use different RNG stream layouts by
+  // design, so they are pinned individually, not against each other.)
   const auto m = instance(47);
   cga::Config c = fast_config();
   c.seed = 2026;
@@ -225,20 +352,13 @@ TEST(EngineEquivalence, ThreeEnginesPinnedOnFixedSeed) {
   EXPECT_DOUBLE_EQ(s1.best_fitness, s2.best_fitness);
   EXPECT_EQ(s1.best.hamming_distance(s2.best), 0u);
 
-  const auto w1 = par::run_cellwise(m, c);
-  const auto w2 = par::run_cellwise(m, c);
-  EXPECT_DOUBLE_EQ(w1.result.best_fitness, w2.result.best_fitness);
-  EXPECT_EQ(w1.result.best.hamming_distance(w2.result.best), 0u);
-
   const auto p1 = par::run_parallel(m, c);
   const auto p2 = par::run_parallel(m, c);
   EXPECT_DOUBLE_EQ(p1.result.best_fitness, p2.result.best_fitness);
   EXPECT_EQ(p1.result.best.hamming_distance(p2.result.best), 0u);
 
-  // All three search the same landscape from the same Min-min seed; their
+  // Both search the same landscape from the same Min-min seed; their
   // qualities must be in the same ballpark.
-  EXPECT_LT(s1.best_fitness, w1.result.best_fitness * 1.25);
-  EXPECT_LT(w1.result.best_fitness, s1.best_fitness * 1.25);
   EXPECT_LT(p1.result.best_fitness, s1.best_fitness * 1.25);
   EXPECT_LT(s1.best_fitness, p1.result.best_fitness * 1.25);
 }
@@ -283,12 +403,16 @@ TEST(EngineEquivalence, ObserverFiresPerGenerationInAllEngines) {
   EXPECT_EQ(seq_calls, rs.generations);
   EXPECT_EQ(last_evals, rs.evaluations);
 
-  std::uint64_t cw_calls = 0;
-  const auto rw = par::run_cellwise(m, c, [&](const cga::GenerationEvent& e) {
-    ++cw_calls;
-    EXPECT_EQ(e.generation, cw_calls);
-  });
-  EXPECT_EQ(cw_calls, rw.result.generations);
+  std::uint64_t sync_calls = 0;
+  cga::Config sync = c;
+  sync.update = cga::UpdatePolicy::kSynchronous;
+  const auto rsync =
+      par::run_parallel(m, sync, [&](const cga::GenerationEvent& e) {
+        ++sync_calls;
+        EXPECT_EQ(e.generation, sync_calls);
+        EXPECT_EQ(e.evaluations, sync_calls * 64u);
+      });
+  EXPECT_EQ(sync_calls, rsync.result.generations);
 
   std::uint64_t par_calls = 0;
   par::run_parallel(m, c, [&](const cga::GenerationEvent& e) {
@@ -345,23 +469,6 @@ TEST(EngineEquivalence, MalformedWarmSeedThrows) {
   bad_machine.warm_seed.assign(
       m.tasks(), static_cast<sched::MachineId>(m.machines()));
   EXPECT_THROW(cga::run_sequential(m, bad_machine), std::invalid_argument);
-}
-
-TEST(EngineEquivalence, CellwiseEvaluationAccountingIsExact) {
-  // The termination counter is the real summed per-thread totals, and the
-  // reported total matches it: max_evaluations means the same thing in
-  // every engine (granularity: one generation).
-  const auto m = instance();
-  cga::Config c = fast_config();
-  c.threads = 3;
-  c.termination = cga::Termination::after_evaluations(200);
-  const auto r = par::run_cellwise(m, c);
-  std::uint64_t sum = 0;
-  for (const auto& t : r.threads) sum += t.evaluations;
-  EXPECT_EQ(sum, r.result.evaluations);
-  EXPECT_GE(r.result.evaluations, 200u);
-  EXPECT_LE(r.result.evaluations, 200u + 64u);
-  EXPECT_EQ(r.result.evaluations, r.result.generations * 64u);
 }
 
 }  // namespace
